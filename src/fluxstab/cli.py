@@ -253,17 +253,9 @@ def cmd_rexp(args) -> int:
     tilt = get_value(cfg, "tilt", float, -1.0)
     tol = get_value(cfg, "tol", float, 1e-3)
     n_panels = get_value(cfg, "panels", int, 2 ** 14)
-    jobs = get_value(cfg, "jobs", int, 1)
     ns = list(range(n_min, n_max + 1))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda n: rexp_counterexample(n, tilt=tilt, n_panels=n_panels),
-                ns))
-    else:
-        results = [rexp_counterexample(n, tilt=tilt, n_panels=n_panels)
-                   for n in ns]
+    results = [rexp_counterexample(n, tilt=tilt, n_panels=n_panels)
+               for n in ns]
     rows = []
     ok = True
     for n, res in zip(ns, results):
@@ -422,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, type=int,
                        help="seed for randomized sampling")
         p.add_argument("--jobs", default=None, type=int,
-                       help="worker threads for sweeps")
+                       help="worker threads for the suite")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="override config values")
         p.set_defaults(func=func)

@@ -247,6 +247,10 @@ def convex_poly(
 
     df_inv = None
     if kap > 0.0:
+        # Newton has converged once every update is within two ulp of K's
+        # scale; 80 sweeps are the budget
+        u_tol = 2.0 * np.spacing(max(abs(lo), abs(hi)))
+
         def df_inv(s):  # monotone cubic solve, bracketed Newton
             s = np.asarray(s, dtype=float)
             a = np.full_like(s, lo)
@@ -259,7 +263,11 @@ def convex_poly(
                 step = g / np.maximum(d2f(u), kap)
                 u_new = u - step
                 bad = (u_new <= a) | (u_new >= b)
-                u = np.where(bad, 0.5 * (a + b), u_new)
+                u_new = np.where(bad, 0.5 * (a + b), u_new)
+                done = np.all(np.abs(u_new - u) <= u_tol)
+                u = u_new
+                if done:
+                    break
             return u
 
     return ScalarFlux(

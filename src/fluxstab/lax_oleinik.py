@@ -7,10 +7,15 @@ For ``u_t + f(u)_x = 0`` with ``f'' >= kappa > 0`` the entropy solution at
 
 over backward characteristic feet ``y`` in ``[x - lambda_hat t,
 x + lambda_hat t]``, where ``U0`` is the primitive of the datum and ``f*``
-the Legendre transform restricted to ``K``.  The minimizer is located by a
-grid scan (default 4096 cells) and polished by golden-section to an
-absolute tolerance of 1e-10; at a shock the minimizer set is an interval
-and the scan picks its left end, so evaluation returns left limits.
+the Legendre transform restricted to ``K`` (the Hopf-Lax formula; Lax
+1957, Hopf 1965, Evans *PDE* 3.4).  Every accepted datum is piecewise
+constant, so ``U0`` is linear and ``G`` convex on each cell between
+kinks, with its minimum on a cell of value ``v`` at the clip of
+``x - t f'(v)`` into the cell.  The minimization is therefore exact: one
+candidate per cell in the window, the least ``G`` wins, and ``u = (f')^-1
+((x - y*) / t)``.  At a shock two feet tie; the leftmost candidate within
+a relative ``1e-12`` of the minimum wins, so evaluation returns left
+limits.
 
 This evaluator is pointwise and mesh-free, which makes it the reference
 oracle for the front-tracking engine and the workhorse behind the bound
@@ -155,9 +160,15 @@ def sawtooth_datum(n: int) -> PeriodicSquareWave:
 
 
 def as_initial_data(data):
+    """Wrap step functions; pass through any piecewise-constant descriptor.
+
+    A descriptor provides ``value``, the exact ``primitive``, ``kinks(lo,
+    hi)`` listing every jump in ``[lo, hi]`` in increasing order, and
+    ``bounds``; the datum must be constant between consecutive kinks.
+    """
     if isinstance(data, PiecewiseConstantFn):
         return StepData(data)
-    if hasattr(data, "primitive") and hasattr(data, "value"):
+    if all(hasattr(data, a) for a in ("value", "primitive", "kinks", "bounds")):
         return data
     raise TypeError(f"cannot use {type(data).__name__} as initial data")
 
@@ -180,82 +191,50 @@ class LaxOleinikProblem:
             raise ValueError(f"datum range [{lo}, {hi}] outside K={self.flux.K}")
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
-def lax_oleinik_eval_many(problem: LaxOleinikProblem, t: float, xs,
-                          n_scan: int = 4096, chunk: int = 2048,
-                          y_tol: float = 1e-10) -> np.ndarray:
+def lax_oleinik_eval_many(problem: LaxOleinikProblem, t: float,
+                          xs) -> np.ndarray:
     """Vectorized evaluation at many points for one time ``t > 0``."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size == 0:
+        return np.empty(0)
     flux, data = problem.flux, problem.data
-    lam = flux.lambda_hat
-    offs = np.linspace(-lam * t, lam * t, n_scan + 1)
-    cell = 2.0 * lam * t / n_scan
-    # f*((x - y)/t) depends only on the offset, so one row serves all x
-    fstar_row = t * flux.legendre(-offs / t)
-    # kinks of the primitive are V-shaped minimum candidates that a grid
-    # scan can miss when a smooth competing basin sits nearby, so they are
-    # always probed exactly
-    kinks_of = getattr(data, "kinks", None)
-    z_all = (kinks_of(float(np.min(xs)) - lam * t, float(np.max(xs)) + lam * t)
-             if (kinks_of is not None and xs.size) else np.empty(0))
-
-    out = np.empty_like(xs)
-    for start in range(0, xs.size, chunk):
-        xb = xs[start:start + chunk]
-        Y = xb[:, None] + offs[None, :]
-        G = data.primitive(Y) + fstar_row[None, :]
-        j = np.argmin(G, axis=1)  # first minimum: leftmost foot, left limits
-        rows = np.arange(xb.size)
-        a = xb + offs[np.maximum(j - 1, 0)]
-        b = xb + offs[np.minimum(j + 1, n_scan)]
-        if z_all.size:
-            S = (xb[:, None] - z_all[None, :]) / t
-            Gk = np.where(
-                np.abs(S) <= lam,
-                data.primitive(np.broadcast_to(z_all, S.shape)) +
-                t * flux.legendre(S),
-                np.inf,
-            )
-            mk = np.argmin(Gk, axis=1)
-            gk = Gk[rows, mk]
-            zk = z_all[mk]
-            g_best = G[rows, j]
-            y_best = xb + offs[j]
-            tie = 1e-12 * (1.0 + np.abs(g_best))
-            take = (gk < g_best - tie) | (
-                (np.abs(gk - g_best) <= tie) & (zk < y_best))
-            a = np.where(take, zk - cell, a)
-            b = np.where(take, zk + cell, b)
-
-        def g_of(y, xb=xb):
-            return data.primitive(y) + t * flux.legendre((xb - y) / t)
-
-        width = float(np.max(b - a)) if xb.size else 0.0
-        n_iter = 0
-        if width > y_tol:
-            n_iter = int(np.ceil(np.log(y_tol / width) / np.log(_INVPHI))) + 1
-        for _ in range(n_iter):
-            ml = b - _INVPHI * (b - a)
-            mr = a + _INVPHI * (b - a)
-            # ties collapse leftward: keeps left limits at shocks and stops
-            # the search drifting right once G differences hit the float floor
-            take_left = g_of(ml) <= g_of(mr)
-            b = np.where(take_left, mr, b)
-            a = np.where(take_left, a, ml)
-        y_star = 0.5 * (a + b)
-        out[start:start + chunk] = flux.inverse_deriv((xb - y_star) / t)
-    return out
+    reach = flux.lambda_hat * t
+    lo, hi = float(np.min(xs)) - reach, float(np.max(xs)) + reach
+    z = data.kinks(lo, hi)
+    # cell j spans [edges[j], edges[j + 1]]; the end cells are cut at the
+    # outermost window edges so every value is read where some x looks
+    edges = np.concatenate([[lo], z, [hi]])
+    vals = data.value(0.5 * (edges[:-1] + edges[1:]))
+    # the cells meeting [x - reach, x + reach], flattened over all x
+    first = np.searchsorted(z, xs - reach, side="left")
+    count = np.searchsorted(z, xs + reach, side="right") - first + 1
+    starts = np.concatenate([[0], np.cumsum(count[:-1])])
+    owner = np.repeat(np.arange(xs.size), count)
+    cell = np.repeat(first - starts, count) + np.arange(owner.size)
+    x = xs[owner]
+    # G is convex on each cell with stationary point x - t f'(v); a foot
+    # inside its cell keeps the slope f'(v) exactly
+    slope = flux.df(vals[cell])
+    y_free = x - t * slope
+    y = np.clip(y_free, edges[cell], edges[cell + 1])
+    s = np.where(y == y_free, slope, (x - y) / t)
+    u = flux.inverse_deriv(s)
+    g = data.primitive(y) + t * (s * u - flux.f(u))
+    # the leftmost foot within the tie tolerance gives left limits at shocks
+    g_min = np.minimum.reduceat(g, starts)[owner]
+    tie = g <= g_min + 1e-12 * (1.0 + np.abs(g_min))
+    pick = np.minimum.reduceat(np.where(tie, np.arange(g.size), g.size), starts)
+    return u[pick]
 
 
-def lax_oleinik_eval(problem: LaxOleinikProblem, t: float, x: float,
-                     n_scan: int = 4096) -> float:
+def lax_oleinik_eval(problem: LaxOleinikProblem, t: float, x: float) -> float:
     """Entropy solution value at ``(t, x)``; left limit on shocks."""
-    return float(lax_oleinik_eval_many(problem, t, np.asarray([x]), n_scan)[0])
+    return float(lax_oleinik_eval_many(problem, t, np.asarray([x]))[0])
 
 
 # -- the oscillating-data gap --------------------------------------------------
@@ -270,8 +249,7 @@ class RexpResult:
 
 
 def rexp_counterexample(n: int, tilt: float = -1.0,
-                        n_panels: int = 2 ** 14,
-                        n_scan: int = 1024) -> RexpResult:
+                        n_panels: int = 2 ** 14) -> RexpResult:
     """L1 gap on [0, 1] between the quadratic flux and its tilt at t = 2^-n.
 
     Both equations start from :func:`sawtooth_datum`.  The tilted flux
@@ -293,7 +271,7 @@ def rexp_counterexample(n: int, tilt: float = -1.0,
     ru = np.mod(xs, p)
     rv = np.mod(xs - tilt * t, p)
     uniq, inverse = np.unique(np.concatenate([ru, rv]), return_inverse=True)
-    vals = lax_oleinik_eval_many(problem, t, uniq, n_scan=n_scan)
+    vals = lax_oleinik_eval_many(problem, t, uniq)
     u_vals = vals[inverse[:n_panels]]
     v_vals = vals[inverse[n_panels:]]
     l1 = float(np.mean(np.abs(v_vals - u_vals)))  # interval length is 1
@@ -397,8 +375,7 @@ class TvBoundReport:
 def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
                            a: float, b: float,
                            rtol: float = 1e-3, n0: int = 2 ** 10,
-                           n_max: int = 2 ** 14,
-                           n_scan: int = 4096) -> TvBoundReport:
+                           n_max: int = 2 ** 14) -> TvBoundReport:
     """Grid total variation of the solution against the decay bound.
 
     The solution is sampled on dyadic grids over the enlarged window
@@ -414,11 +391,11 @@ def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
     lo, hi = a - 2.0 * lam * t, b + 2.0 * lam * t
     n = n0
     xs = np.linspace(lo, hi, n + 1)
-    vals = lax_oleinik_eval_many(problem, t, xs, n_scan=n_scan)
+    vals = lax_oleinik_eval_many(problem, t, xs)
     tv = float(np.sum(np.abs(np.diff(vals))))
     while n < n_max:
         mids = 0.5 * (xs[:-1] + xs[1:])
-        mvals = lax_oleinik_eval_many(problem, t, mids, n_scan=n_scan)
+        mvals = lax_oleinik_eval_many(problem, t, mids)
         merged = np.empty(2 * n + 1)
         merged[0::2] = vals
         merged[1::2] = mvals
@@ -447,7 +424,7 @@ class LinftyBoundReport:
 def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
                        t: float, a: float, b: float,
                        rtol: float = 1e-6, n0: int = 2 ** 10,
-                       n_max: int = 2 ** 15, n_scan: int = 4096,
+                       n_max: int = 2 ** 15,
                        n_deriv: int = 4096) -> LinftyBoundReport:
     """Windowed L1 gap between two evolutions against the a-priori bound.
 
@@ -470,8 +447,8 @@ def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
     pg = LaxOleinikProblem(flux_g, data)
 
     def gap_at(x):
-        return np.abs(lax_oleinik_eval_many(pf, t, x, n_scan=n_scan)
-                      - lax_oleinik_eval_many(pg, t, x, n_scan=n_scan))
+        return np.abs(lax_oleinik_eval_many(pf, t, x)
+                      - lax_oleinik_eval_many(pg, t, x))
 
     n = n0
     xs = np.linspace(a, b, n + 1)
@@ -510,12 +487,12 @@ class OslReport:
 
 def one_sided_lipschitz_check(problem: LaxOleinikProblem, t: float,
                               a: float, b: float, n_pairs: int = 10 ** 4,
-                              seed: int = 0, slack: float | None = None,
-                              n_scan: int = 4096) -> OslReport:
+                              seed: int = 0,
+                              slack: float | None = None) -> OslReport:
     """Sampled check of ``u(x2) - u(x1) <= (x2 - x1) / (kappa t)``.
 
-    The slack absorbs the finite tolerance of the variational minimizer;
-    any violation beyond it is reported.
+    The slack absorbs rounding in the evaluated values; any violation
+    beyond it is reported.
     """
     flux = problem.flux
     if flux.kappa <= 0.0:
@@ -525,8 +502,7 @@ def one_sided_lipschitz_check(problem: LaxOleinikProblem, t: float,
     x2 = np.minimum(x1 + rng.uniform(0.0, 0.25 * (b - a), n_pairs), b)
     keep = x2 > x1
     x1, x2 = x1[keep], x2[keep]
-    vals = lax_oleinik_eval_many(problem, t, np.concatenate([x1, x2]),
-                                 n_scan=n_scan)
+    vals = lax_oleinik_eval_many(problem, t, np.concatenate([x1, x2]))
     u1, u2 = vals[:x1.size], vals[x1.size:]
     if slack is None:
         slack = 1e-6 * (1.0 + 1.0 / (flux.kappa * t))

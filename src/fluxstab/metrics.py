@@ -49,23 +49,25 @@ def deriv_gap_sup(flux_f, flux_g, n_grid: int = 4096) -> float:
     For a pair of piecewise-linear fluxes the value is exact: the merged
     kink set partitions ``K`` into cells of constant slope and every cell
     midpoint is inspected.  Smooth derivatives are sampled on ``n_grid``
-    points in addition to the kink midpoints.
+    cells in addition to the kinks: at the cell midpoints, and, when
+    neither flux has kinks, at the grid nodes too, which include the
+    endpoints of ``K``.
     """
     if abs(flux_f.K[0] - flux_g.K[0]) > 1e-12 or abs(flux_f.K[1] - flux_g.K[1]) > 1e-12:
         raise ValueError("fluxes must share K")
     lo, hi = flux_f.K
-    pts = [np.linspace(lo, hi, n_grid + 1)]
-    exact = True
-    for fl in (flux_f, flux_g):
-        if isinstance(fl, PiecewiseLinearFlux):
-            pts.append(fl.nodes)
-        else:
-            exact = False
-    grid = np.unique(np.concatenate(pts)) if not exact else np.unique(
-        np.concatenate(pts[1:] + [np.asarray([lo, hi])]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return float(np.max(np.abs(_slopes_at(flux_f, mids)
-                               - _slopes_at(flux_g, mids))))
+    kinks = [fl.nodes for fl in (flux_f, flux_g)
+             if isinstance(fl, PiecewiseLinearFlux)]
+    if len(kinks) == 2:
+        grid = np.unique(np.concatenate(kinks + [[lo, hi]]))
+    else:
+        grid = np.unique(np.concatenate([np.linspace(lo, hi, n_grid + 1)]
+                                        + kinks))
+    probes = 0.5 * (grid[:-1] + grid[1:])
+    if not kinks:
+        probes = np.concatenate([probes, grid])
+    return float(np.max(np.abs(_slopes_at(flux_f, probes)
+                               - _slopes_at(flux_g, probes))))
 
 
 # -- the semigroup distance bound ----------------------------------------------

@@ -67,6 +67,35 @@ def test_inverse_deriv_round_trip(flux):
                                atol=1e-10, rtol=0.0)
 
 
+def _newton_80_sweeps(flux, s):
+    # the safeguarded Newton solve of convex_poly without its exit test
+    lo, hi = flux.K
+    a, b = np.full_like(s, lo), np.full_like(s, hi)
+    u = 0.5 * (a + b)
+    for _ in range(80):
+        g = flux.df(u) - s
+        a = np.where(g < 0.0, u, a)
+        b = np.where(g > 0.0, u, b)
+        u_new = u - g / np.maximum(flux.d2f(u), flux.kappa)
+        bad = (u_new <= a) | (u_new >= b)
+        u = np.where(bad, 0.5 * (a + b), u_new)
+    return u
+
+
+@pytest.mark.parametrize("flux", [convex_poly(0.5, 0.0, 0.25),
+                                  convex_poly(0.5, 0.1, 0.0),
+                                  convex_poly(0.5, 0.1, 0.0, (-1.0, 2.0))],
+                         ids=lambda f: f.name + str(f.K))
+def test_convex_poly_df_inv_matches_full_sweeps(flux):
+    s = flux.df(np.linspace(*flux.K, 4097))
+    u = flux.df_inv(s)
+    assert np.max(np.abs(flux.df(u) - s)) <= 1e-12
+    np.testing.assert_allclose(u, _newton_80_sweeps(flux, s),
+                               atol=1e-15, rtol=0.0)
+    # scalar calls take the same path
+    assert float(flux.df_inv(s[1000])) == pytest.approx(u[1000], abs=1e-15)
+
+
 def test_inverse_deriv_clamps_outside_range():
     f = burgers()
     assert f.inverse_deriv(5.0) == 1.0

@@ -5,8 +5,8 @@ import pytest
 
 from fluxstab import (PiecewiseConstantFn, PiecewiseLinearFlux,
                       RiemannSampler, StabilityReport, bundled_pairs, burgers,
-                      check_pgeneral, check_tmain, deriv_gap_sup, ft_evolve,
-                      lerrest_diagnostic, linear_flux, pl_sample,
+                      check_pgeneral, check_tmain, convex_poly, deriv_gap_sup,
+                      ft_evolve, lerrest_diagnostic, linear_flux, pl_sample,
                       scaled_burgers, stability_suite, sup_location,
                       tilted_burgers)
 from fluxstab.riemann import FluxDistanceReport
@@ -25,9 +25,15 @@ def test_deriv_gap_exact_for_sampled_tilt():
 
 
 def test_deriv_gap_smooth_scale_pair():
+    # |u - 1.5 u| peaks at the endpoints of K
     got = deriv_gap_sup(burgers(), scaled_burgers(1.5))
-    assert got <= 0.5
-    assert got == pytest.approx(0.5, rel=1e-3)
+    assert got == pytest.approx(0.5, abs=1e-14)
+
+
+def test_deriv_gap_smooth_quartic_pair():
+    # |(u + u^3) - u| = |u|^3 peaks at the endpoints of K
+    got = deriv_gap_sup(convex_poly(0.5, 0.0, 0.25), burgers())
+    assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_deriv_gap_mixed_pl_and_smooth():
