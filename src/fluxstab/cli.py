@@ -41,8 +41,6 @@ def _cfg_from(args) -> dict[str, str]:
         cfg["out"] = args.out
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = str(args.seed)
-    if getattr(args, "jobs", None) is not None:
-        cfg["jobs"] = str(args.jobs)
     return apply_overrides(cfg, args.overrides)
 
 
@@ -354,7 +352,6 @@ def cmd_suite(args) -> int:
             n_near=get_value(cfg, "n_near", int, 32),
             near_gap=get_value(cfg, "near_gap", float, 1e-3),
         ),
-        jobs=get_value(cfg, "jobs", int, 1),
     )
     ok = True
     for rep in reports:
@@ -413,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="artifact directory")
         p.add_argument("--seed", default=None, type=int,
                        help="seed for randomized sampling")
-        p.add_argument("--jobs", default=None, type=int,
-                       help="worker threads for the suite")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="override config values")
         p.set_defaults(func=func)
@@ -428,12 +423,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except _RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # ConfigError and bad solver parameters
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

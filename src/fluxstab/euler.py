@@ -1,21 +1,23 @@
 """Isothermal Euler momentum systems, classical and relativistic.
 
 State is ``U = (rho, q)`` with density ``rho > 0`` and momentum ``q``; the
-pressure law is ``p = sigma^2 rho``.  The classical flux is
+pressure law is ``p = sigma^2 rho``.  Both fluxes have the form
 
-    F(U) = (q, q^2 / rho + sigma^2 rho)
+    F(U) = rho (m, H(m)),   m = q / rho,
 
-and the relativistic one multiplies the ram pressure term by a correction
-factor that tends to 1 as the light speed ``c`` grows:
-
-    F_c(U) = (q, phi_c(U) q^2 / rho + sigma^2 rho).
-
+with ``H(m) = m^2 + sigma^2`` for the classical system and
+``H(m) = phi_c m^2 + sigma^2`` for the relativistic one, where the
+correction factor ``phi_c`` tends to 1 as the light speed ``c`` grows.
 The velocity entering ``phi_c`` solves a quadratic in ``v`` whose stable
-root keeps ``|v| < c`` for every admissible state.  Both systems are
-evolved by a first-order finite-volume scheme whose numerical flux uses a
-single symmetric wave-speed bound, so two systems sharing that bound see
-identical discretization structure and their numerical gap isolates the
-flux difference.
+root keeps ``|v| < c`` for every admissible state and depends on ``m``
+alone.  So the Jacobian ``[[0, 1], [H - m H', H']]`` is closed form, and
+``lambda_hat = |H'|/2 + sqrt(H'^2/4 + H - m H')`` at the largest
+``|q| / rho`` of the box is the exact maximum wave speed there.
+
+Both systems are evolved by a first-order finite-volume scheme whose
+numerical flux uses a single symmetric wave-speed bound, so two systems
+sharing that bound see identical discretization structure and their
+numerical gap isolates the flux difference.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class SystemFlux:
     """A 2x2 momentum system on a compact state box.
 
     ``flux`` and ``jacobian`` are vectorized over stacked states of shape
-    ``(N, 2)``; ``lambda_hat`` bounds every characteristic speed on ``K``.
+    ``(N, 2)``; ``lambda_hat`` is the largest characteristic speed on ``K``.
     """
 
     name: str
@@ -99,85 +101,81 @@ class SystemFlux:
                 & (U[..., 1] >= q_lo - tol) & (U[..., 1] <= q_hi + tol))
 
 
-def _fd_jacobian(flux: Callable[[np.ndarray], np.ndarray],
-                 U: np.ndarray, h0: float = 1e-5) -> np.ndarray:
-    """Richardson-extrapolated central differences, vectorized over rows."""
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    n_pts = U.shape[0]
-    out = np.empty((n_pts, 2, 2))
-    scale = 1.0 + np.max(np.abs(U))
-    for j in range(2):
-        h = h0 * scale
-        e = np.zeros(2)
-        e[j] = 1.0
-        d_h = (flux(U + h * e) - flux(U - h * e)) / (2.0 * h)
-        h2 = 0.5 * h
-        d_h2 = (flux(U + h2 * e) - flux(U - h2 * e)) / (2.0 * h2)
-        out[:, :, j] = (4.0 * d_h2 - d_h) / 3.0
-    return out
+def _momentum_system(name: str, H, dH, K, sigma: float,
+                     light_speed: float | None = None) -> SystemFlux:
+    """The system ``F(rho, q) = rho (m, H(m))`` with ``m = q / rho``.
+
+    The flux calls ``H`` only, since it is the finite-volume hot path.  The
+    larger ``|eigenvalue|`` is nondecreasing in ``|m|``, so ``lambda_hat``
+    is its value at the largest ``|q| / rho`` of ``K``.
+    """
+    (r_lo, r_hi), (q_lo, q_hi) = K
+    if r_lo <= 0.0:
+        raise ValueError("density box must stay positive")
+
+    def flux(U: np.ndarray) -> np.ndarray:
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        rho, q = U[:, 0], U[:, 1]
+        return np.column_stack([q, rho * H(q / rho)])
+
+    def jacobian(U: np.ndarray) -> np.ndarray:
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        m = U[:, 1] / U[:, 0]
+        h, dh = H(m), dH(m)
+        J = np.zeros((U.shape[0], 2, 2))
+        J[:, 0, 1] = 1.0
+        J[:, 1, 0] = h - m * dh
+        J[:, 1, 1] = dh
+        return J
+
+    m_star = max(abs(q_lo), abs(q_hi)) / r_lo
+    h, dh = float(H(m_star)), float(dH(m_star))
+    lam = 0.5 * abs(dh) + float(np.sqrt(0.25 * dh * dh + h - m_star * dh))
+    return SystemFlux(name=name, flux=flux, jacobian=jacobian, K=K,
+                      lambda_hat=lam, sigma=sigma, light_speed=light_speed)
 
 
 def classical_euler(sigma: float = 1.0,
                     K=DEFAULT_EULER_BOX) -> SystemFlux:
-    (r_lo, r_hi), (q_lo, q_hi) = K
-    if r_lo <= 0.0:
-        raise ValueError("density box must stay positive")
+    """``H(m) = m^2 + sigma^2``: eigenvalues ``m +- sigma``."""
 
-    def flux(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        rho, q = U[:, 0], U[:, 1]
-        return np.column_stack([q, q * q / rho + sigma ** 2 * rho])
+    def H(m):
+        return m * m + sigma ** 2
 
-    def jacobian(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        rho, q = U[:, 0], U[:, 1]
-        v = q / rho
-        J = np.empty((U.shape[0], 2, 2))
-        J[:, 0, 0] = 0.0
-        J[:, 0, 1] = 1.0
-        J[:, 1, 0] = sigma ** 2 - v * v
-        J[:, 1, 1] = 2.0 * v
-        return J
+    def dH(m):
+        return 2.0 * m
 
-    # eigenvalues are v +- sigma, |v| maximal at the corner q_max / r_lo
-    v_max = max(abs(q_lo), abs(q_hi)) / r_lo
-    return SystemFlux(name=f"euler(sigma={sigma:g})", flux=flux,
-                      jacobian=jacobian, K=K,
-                      lambda_hat=v_max + sigma, sigma=sigma)
+    return _momentum_system(f"euler(sigma={sigma:g})", H, dH, K, sigma)
 
 
 def relativistic_euler(c: float, sigma: float = 1.0,
-                       K=DEFAULT_EULER_BOX,
-                       n_speed_grid: int = 33) -> SystemFlux:
-    (r_lo, r_hi), (q_lo, q_hi) = K
-    if r_lo <= 0.0:
-        raise ValueError("density box must stay positive")
+                       K=DEFAULT_EULER_BOX) -> SystemFlux:
+    """``H(m) = phi_c m^2 + sigma^2`` with ``phi_c`` read at ``rho = 1``.
+
+    The velocity root depends on ``q / rho`` only, so ``rho = 1`` is exact.
+    ``H'`` differentiates through :func:`recover_velocity` implicitly:
+    with ``k = 1 + sigma^2/c^2`` and ``R = sqrt(k^2 + 4 m^2 / c^2)``,
+    ``dv/dm = 2k / (R (k + R))``, ``dbeta^2/dv = 2v / c^2`` and
+    ``dphi/dbeta^2 = -(sigma^2/c^2) k / (1 + beta^2 sigma^2/c^2)^2``.
+    """
     if c <= sigma:
         raise ValueError("light speed must exceed the sound speed")
+    s2 = (sigma / c) ** 2
+    k = 1.0 + s2
 
-    def flux(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        rho, q = U[:, 0], U[:, 1]
-        phi = phi_factor(rho, q, c, sigma)
-        return np.column_stack([q, phi * q * q / rho + sigma ** 2 * rho])
+    def H(m):
+        return phi_factor(1.0, m, c, sigma) * m * m + sigma ** 2
 
-    def jacobian(U: np.ndarray) -> np.ndarray:
-        return _fd_jacobian(flux, U)
+    def dH(m):
+        R = np.sqrt(k * k + 4.0 * m * m / c ** 2)
+        v = recover_velocity(1.0, m, c, sigma)
+        beta2 = v * v / c ** 2
+        dphi = (-s2 * k / (1.0 + beta2 * s2) ** 2
+                * (2.0 * v / c ** 2) * (2.0 * k / (R * (k + R))))
+        return 2.0 * phi_factor(1.0, m, c, sigma) * m + m * m * dphi
 
-    # no closed-form corner for the extreme speed: sample the box
-    rr = np.linspace(r_lo, r_hi, n_speed_grid)
-    qq = np.linspace(q_lo, q_hi, n_speed_grid)
-    R, Q = np.meshgrid(rr, qq, indexing="ij")
-    pts = np.column_stack([R.ravel(), Q.ravel()])
-    J = _fd_jacobian(flux, pts)
-    tr = J[:, 0, 0] + J[:, 1, 1]
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-    lam = 0.5 * (np.abs(tr) + np.sqrt(disc))
-    return SystemFlux(name=f"rel-euler(c={c:g},sigma={sigma:g})", flux=flux,
-                      jacobian=jacobian, K=K,
-                      lambda_hat=float(1.1 * np.max(lam)),
-                      sigma=sigma, light_speed=c)
+    return _momentum_system(f"rel-euler(c={c:g},sigma={sigma:g})", H, dH,
+                            K, sigma, light_speed=c)
 
 
 def jacobian_gap(c: float, sigma: float = 1.0, K=DEFAULT_EULER_BOX,

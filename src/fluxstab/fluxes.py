@@ -248,13 +248,16 @@ def convex_poly(
     df_inv = None
     if kap > 0.0:
         # Newton has converged once every update is within two ulp of K's
-        # scale; 80 sweeps are the budget
+        # scale; 80 sweeps are the budget.  Slopes at or beyond f'(lo) or
+        # f'(hi) start at that end with a collapsed bracket, since Newton
+        # would overshoot the end and leave the root to bisection.
         u_tol = 2.0 * np.spacing(max(abs(lo), abs(hi)))
+        s_lo, s_hi = float(df(lo)), float(df(hi))
 
         def df_inv(s):  # monotone cubic solve, bracketed Newton
             s = np.asarray(s, dtype=float)
-            a = np.full_like(s, lo)
-            b = np.full_like(s, hi)
+            a = np.where(s >= s_hi, hi, lo)
+            b = np.where(s <= s_lo, lo, hi)
             u = 0.5 * (a + b)
             for _ in range(80):
                 g = df(u) - s

@@ -325,17 +325,15 @@ def _default_suite_data() -> list[tuple[str, PiecewiseConstantFn]]:
 
 def stability_suite(segments: int = 128, T: float = 1.0,
                     sampler: RiemannSampler | None = None,
-                    data: list[tuple[str, PiecewiseConstantFn]] | None = None,
-                    jobs: int = 1) -> list[StabilityReport]:
+                    data: list[tuple[str, PiecewiseConstantFn]] | None = None
+                    ) -> list[StabilityReport]:
     """Run every bundled pair through all three checks.
 
     The convex pairs are tracked through their piecewise-linear samples,
     and every recorded number refers to that sampled pair, so the flags
     in the reports are recomputable from the stored values.  The jump
     sampler defaults to a coarser grid than the standalone distance
-    estimate; the suite is a cross-check, not the certificate.  With
-    ``jobs > 1`` the pairs run on a thread pool; the report order stays
-    the input order either way.
+    estimate; the suite is a cross-check, not the certificate.
     """
     from .linear_hd import hat_d_lin
 
@@ -371,9 +369,4 @@ def stability_suite(segments: int = 128, T: float = 1.0,
             tmain_holds=ok_tmain,
         )
 
-    entries = bundled_pairs(segments=segments)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, entries))
-    return [one(e) for e in entries]
+    return [one(e) for e in bundled_pairs(segments=segments)]

@@ -281,16 +281,27 @@ def test_cli_runtime_error_exits_3(capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classical-limit", "c_values=0.5 8"],  # slower than sound
+    ["jac-gap", "c_values=0.5"],
+    ["osl", "flux=linear 0.3", "datum=pulse 1 0 1", "t=0.5", "a=0", "b=1"],
+])
+def test_cli_bad_solver_parameters_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_cli_suite(tmp_path, capsys):
     out = tmp_path / "suite_out"
     code = main(["suite", "segments=32", "T=0.5", "n_grid=8", "n_near=8",
-                 "--out", str(out), "--jobs", "2"])
+                 "--out", str(out), "--seed", "7"])
     assert code == 0
     text = capsys.readouterr().out
     assert "[PASS] suite: 6 pairs" in text
     rows, meta = read_csv(out / "stability_report.csv")
     assert len(rows) == 12  # six pairs, two data each
-    assert meta["cfg.jobs"] == 2
+    assert meta["cfg.seed"] == 7
     listed = [list(r.values()) for r in rows]
     reports = StabilityReport.from_rows(listed)
     assert [r.pair for r in reports][0] == "tilt-quarter"

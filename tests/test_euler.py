@@ -8,7 +8,36 @@ from fluxstab import (AdmissibilityError, classical_euler,
                       classical_limit_experiment, fv_evolve, jacobian_gap,
                       l1_state_distance, phi_factor, recover_velocity,
                       relativistic_euler, riemann_grid)
-from fluxstab.euler import _fd_jacobian
+from fluxstab.euler import DEFAULT_EULER_BOX
+
+
+def _fd_jacobian(flux, U, h0=1e-5):
+    """Reference: Richardson-extrapolated central differences per row."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    out = np.empty((U.shape[0], 2, 2))
+    scale = 1.0 + np.max(np.abs(U))
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = 1.0
+        h = h0 * scale
+        d_h = (flux(U + h * e) - flux(U - h * e)) / (2.0 * h)
+        h2 = 0.5 * h
+        d_h2 = (flux(U + h2 * e) - flux(U - h2 * e)) / (2.0 * h2)
+        out[:, :, j] = (4.0 * d_h2 - d_h) / 3.0
+    return out
+
+
+def _box_points(n, K=DEFAULT_EULER_BOX):
+    (r_lo, r_hi), (q_lo, q_hi) = K
+    R, Q = np.meshgrid(np.linspace(r_lo, r_hi, n), np.linspace(q_lo, q_hi, n),
+                       indexing="ij")
+    return np.column_stack([R.ravel(), Q.ravel()])
+
+
+def _max_speed(J):
+    """Larger |eigenvalue| of stacked ``[[0, 1], [a, b]]`` blocks."""
+    a, b = J[:, 1, 0], J[:, 1, 1]
+    return 0.5 * np.abs(b) + np.sqrt(0.25 * b * b + a)
 
 
 def test_velocity_solves_the_quadratic():
@@ -93,6 +122,37 @@ def test_speed_bound_covers_box():
     J = rel.jacobian(pts)
     eigs = np.linalg.eigvals(J)
     assert float(np.max(np.abs(eigs.real))) <= rel.lambda_hat
+
+
+@pytest.mark.parametrize("c", [1.5, 8.0, 64.0, 400.0])
+def test_relativistic_jacobian_matches_differences(c):
+    rel = relativistic_euler(c)
+    pts = _box_points(33)
+    np.testing.assert_allclose(rel.jacobian(pts), _fd_jacobian(rel.flux, pts),
+                               rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.5, 8.0, 64.0])
+def test_speed_bound_is_the_box_maximum(c):
+    pts = _box_points(201)
+    for system in (classical_euler(), relativistic_euler(c)):
+        eigs = np.linalg.eigvals(system.jacobian(pts))
+        assert np.max(np.abs(eigs)) <= system.lambda_hat * (1.0 + 1e-12)
+        # attained at the thin-density corner of largest |q|
+        corner = np.array([[0.5, 2.0]])
+        J = system.jacobian(corner)
+        top = np.max(np.abs(np.linalg.eigvals(J)))
+        assert top == pytest.approx(system.lambda_hat, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("ratio", [1.001, 1.1, 3.0, 100.0, 1e6])
+def test_max_speed_nondecreasing_in_momentum_ratio(sigma, ratio):
+    c = ratio * sigma
+    rel = relativistic_euler(c, sigma=sigma)
+    m = np.linspace(0.0, 1000.0 * c, 20001)
+    lam = _max_speed(rel.jacobian(np.column_stack([np.ones_like(m), m])))
+    assert np.all(np.diff(lam) >= -1e-12 * lam[1:])
 
 
 def test_constructor_guards():

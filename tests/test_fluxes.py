@@ -96,6 +96,17 @@ def test_convex_poly_df_inv_matches_full_sweeps(flux):
     assert float(flux.df_inv(s[1000])) == pytest.approx(u[1000], abs=1e-15)
 
 
+@pytest.mark.parametrize("flux", [convex_poly(0.5, 0.0, 0.25),
+                                  convex_poly(0.5, 0.1, 0.0, (-1.0, 2.0))],
+                         ids=lambda f: f.name + str(f.K))
+def test_convex_poly_df_inv_pins_roots_at_the_ends(flux):
+    lo, hi = flux.K
+    s_lo, s_hi = float(flux.df(lo)), float(flux.df(hi))
+    got = flux.df_inv(np.array([s_lo - 1.0, s_lo, s_hi, s_hi + 1.0]))
+    np.testing.assert_array_equal(got, [lo, lo, hi, hi])
+    assert float(flux.df_inv(s_hi)) == hi
+
+
 def test_inverse_deriv_clamps_outside_range():
     f = burgers()
     assert f.inverse_deriv(5.0) == 1.0

@@ -202,10 +202,3 @@ def test_stability_suite_runs_every_pair():
     name, T, gap, tv = tilt.semigroup_gaps[0]
     assert (name, T) == ("pulse", 0.5)
     assert gap == pytest.approx(0.25 * tv, rel=1e-9)
-
-
-def test_stability_suite_threaded_matches_serial():
-    sampler = RiemannSampler(n_grid=8, n_near=8)
-    serial = stability_suite(segments=32, T=0.5, sampler=sampler, jobs=1)
-    threaded = stability_suite(segments=32, T=0.5, sampler=sampler, jobs=3)
-    assert serial == threaded
