@@ -16,7 +16,6 @@ from .fluxes import (
     ScalarFlux,
     burgers,
     convex_poly,
-    from_spline,
     linear_flux,
     make_flux,
     pl_sample,
@@ -104,8 +103,8 @@ __all__ = [
     "PiecewiseConstantFn", "l1_distance", "total_variation",
     # fluxes
     "ScalarFlux", "PiecewiseLinearFlux", "burgers", "scaled_burgers",
-    "tilted_burgers", "linear_flux", "convex_poly", "from_spline",
-    "pl_sample", "make_flux", "BUILTIN_FLUX_HELP",
+    "tilted_burgers", "linear_flux", "convex_poly", "pl_sample",
+    "make_flux", "BUILTIN_FLUX_HELP",
     # Riemann machinery
     "Shock", "Rarefaction", "RiemannFan", "UnsupportedFluxError",
     "solve_riemann", "eval_fan", "validate_fan", "riemann_l1_diff",

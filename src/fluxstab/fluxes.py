@@ -1,18 +1,27 @@
-"""Scalar flux functions with certified derivative bounds.
+"""Scalar flux functions with exact derivative bounds.
 
-Two representations are exact-solver friendly: uniformly convex smooth
-fluxes carrying closed-form derivatives, and piecewise-linear fluxes given
-by node tables.  Every flux lives on a fixed compact state interval ``K``
-and carries two certificates used by the solvers and the error bounds:
+Two representations are exact-solver friendly: polynomial fluxes of
+degree at most four, given by their power-series coefficients, and
+piecewise-linear fluxes given by node tables.  Every flux lives on a
+fixed compact state interval ``K`` and carries two certificates used by
+the solvers and the error bounds:
 
 * ``kappa``  -- lower bound for ``f''`` on ``K`` (0 when not convex),
 * ``lambda_hat`` -- upper bound for ``|f'|`` on ``K``.
+
+For a polynomial both are exact: the extremes of ``f''`` and ``f'`` on
+``K`` sit at its endpoints or at roots of the next derivative inside it.
+
+On either kind ``f'`` is a piecewise polynomial of degree at most three,
+which ``slope_pieces`` hands to the flux distances: the L1 gap of two
+Riemann solutions and ``max |f' - g'|`` both come from the difference of
+two such slopes, cut at its roots or at the roots of its derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,37 +33,109 @@ __all__ = [
     "tilted_burgers",
     "linear_flux",
     "convex_poly",
-    "from_spline",
     "pl_sample",
     "make_flux",
     "BUILTIN_FLUX_HELP",
 ]
 
+MAX_DEGREE = 4
+
+
+def horner(c, u):
+    """``sum_k c[k] u^k`` by Horner's rule, for a float or an array ``u``.
+
+    Zero coefficients cost nothing, so sparse polynomials such as
+    ``u^2 / 2`` take only their own terms.
+    """
+    if len(c) == 1:
+        return 0.0 * u + c[0]
+    out = c[-1] * u  # a fresh array when u is one: updated in place
+    for ck in c[-2:0:-1]:
+        if ck:
+            out += ck
+        out *= u
+    if c[0]:
+        out += c[0]
+    return out
+
+
+def eval_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row ``k``'s polynomial at ``u[..., k]``, by Horner's rule."""
+    out = 0.0 * u + rows[:, -1]
+    for j in range(rows.shape[1] - 2, -1, -1):
+        out *= u
+        out += rows[:, j]
+    return out
+
+
+def _deriv(c: np.ndarray) -> np.ndarray:
+    """Power-series coefficients of the derivative; ``[0]`` for a constant."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+
+
+def _extreme_candidates(c, lo: float, hi: float) -> np.ndarray:
+    """The ends of ``[lo, hi]`` and the real parts of the roots of the
+    derivative of ``c`` inside it.
+
+    A superset of the points where the polynomial ``c`` takes its extremes
+    on the interval, so the min or max over it is exact.
+    """
+    if len(c) < 3:  # the derivative is constant
+        return np.array([lo, hi])
+    r = np.roots(_deriv(c)[::-1]).real
+    return np.concatenate([[lo, hi], r[(r > lo) & (r < hi)]])
+
 
 @dataclass(frozen=True)
 class ScalarFlux:
-    """Smooth scalar flux on ``K = [k_lo, k_hi]``.
+    """Polynomial flux ``f(u) = sum_k coeffs[k] u^k`` on ``K = [k_lo, k_hi]``.
 
-    ``f`` and ``df`` must accept numpy arrays.  ``df_inv`` inverts ``df``
-    on ``df(K)`` and unlocks the vectorized solvers; it may be ``None``
-    for fluxes only used through piecewise-linear sampling.
+    The degree is at most four, so ``f'`` is at most cubic.  Trailing zero
+    coefficients are dropped, so ``len(coeffs) - 1`` is the degree.
     """
 
     name: str
-    f: Callable
-    df: Callable
+    coeffs: tuple
     K: tuple[float, float]
-    kappa: float
-    lambda_hat: float
-    d2f: Callable | None = None
-    df_inv: Callable | None = None
+    kappa: float = field(init=False)
+    lambda_hat: float = field(init=False)
+    slope_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    _d2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lo, hi = self.K
+        lo, hi = float(self.K[0]), float(self.K[1])
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("K must be a nondegenerate finite interval")
-        if self.kappa < 0.0 or self.lambda_hat < 0.0:
-            raise ValueError("certificates must be nonnegative")
+        c = [float(v) for v in self.coeffs] or [0.0]
+        while len(c) > 1 and c[-1] == 0.0:
+            c.pop()
+        if not all(map(math.isfinite, c)):
+            raise ValueError("coefficients must be finite")
+        if len(c) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree must be at most {MAX_DEGREE}")
+        c = np.array(c)
+        d1 = _deriv(c)
+        d2 = _deriv(d1)
+        kap = float(np.min(horner(d2, _extreme_candidates(d2, lo, hi))))
+        lam = float(np.max(np.abs(horner(d1, _extreme_candidates(d1, lo, hi)))))
+        for name, value in [("K", (lo, hi)),
+                            ("coeffs", tuple(float(v) for v in c)),
+                            ("kappa", max(0.0, kap)), ("lambda_hat", lam),
+                            ("slope_coeffs", d1), ("_d2", d2)]:
+            object.__setattr__(self, name, value)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def f(self, u):
+        return horner(self.coeffs, u)
+
+    def df(self, u):
+        return horner(self.slope_coeffs, u)
+
+    def d2f(self, u):
+        return horner(self._d2, u)
 
     def __call__(self, u):
         return self.f(np.asarray(u, dtype=float))
@@ -63,26 +144,45 @@ class ScalarFlux:
     def diam_K(self) -> float:
         return self.K[1] - self.K[0]
 
-    def contains(self, u, tol: float = 1e-12) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.K[0] - tol) and np.all(u <= self.K[1] + tol))
+    def df_inv(self, s):
+        """Root ``u`` of ``f'(u) = s`` for a uniformly convex flux.
+
+        Closed form for a quadratic; otherwise a bracketed Newton solve on
+        ``K`` that has converged once every update is within two ulp of
+        K's scale, with 80 sweeps as the budget.  Slopes at or beyond
+        ``f'(lo)`` or ``f'(hi)`` start at that end with a collapsed
+        bracket, since Newton would overshoot the end and leave the root
+        to bisection.
+        """
+        if self.kappa <= 0.0:
+            raise ValueError(f"flux {self.name!r} has no invertible derivative")
+        s = np.asarray(s, dtype=float)
+        if self.degree == 2:
+            return (s - self.coeffs[1]) / (2.0 * self.coeffs[2])
+        lo, hi = self.K
+        u_tol = 2.0 * np.spacing(max(abs(lo), abs(hi)))
+        a = np.where(s >= self.df(hi), hi, lo)
+        b = np.where(s <= self.df(lo), lo, hi)
+        u = 0.5 * (a + b)
+        for _ in range(80):
+            g = self.df(u) - s
+            a = np.where(g < 0.0, u, a)
+            b = np.where(g > 0.0, u, b)
+            u_new = u - g / np.maximum(self.d2f(u), self.kappa)
+            bad = (u_new <= a) | (u_new >= b)
+            u_new = np.where(bad, 0.5 * (a + b), u_new)
+            done = np.all(np.abs(u_new - u) <= u_tol)
+            u = u_new
+            if done:
+                break
+        return u
 
     def inverse_deriv(self, s):
         """Inverse of ``df`` on ``df(K)``, clamped to ``K`` outside."""
         s = np.asarray(s, dtype=float)
         lo, hi = self.K
-        s_cl = np.clip(s, self.df(np.asarray(lo)), self.df(np.asarray(hi)))
-        if self.df_inv is not None:
-            return np.clip(self.df_inv(s_cl), lo, hi)
-        if self.kappa <= 0.0:
-            raise ValueError(f"flux {self.name!r} has no invertible derivative")
-        from scipy.optimize import brentq
-
-        def solve_one(sv: float) -> float:
-            return brentq(lambda u: float(self.df(np.asarray(u))) - sv, lo, hi,
-                          xtol=1e-14, rtol=8.9e-16)
-
-        return np.vectorize(solve_one)(s_cl)
+        s_cl = np.clip(s, self.df(lo), self.df(hi))
+        return np.clip(self.df_inv(s_cl), lo, hi)
 
     def legendre(self, s):
         """Legendre transform ``max_{u in K} (s*u - f(u))``.
@@ -146,17 +246,7 @@ class PiecewiseLinearFlux:
 
 def burgers(K: tuple[float, float] = (-1.0, 1.0)) -> ScalarFlux:
     """f(u) = u^2 / 2."""
-    lam = max(abs(K[0]), abs(K[1]))
-    return ScalarFlux(
-        name="burgers",
-        f=lambda u: 0.5 * u * u,
-        df=lambda u: u,
-        d2f=lambda u: np.ones_like(u),
-        df_inv=lambda s: s,
-        K=(float(K[0]), float(K[1])),
-        kappa=1.0,
-        lambda_hat=lam,
-    )
+    return ScalarFlux("burgers", (0.0, 0.0, 0.5), K)
 
 
 def scaled_burgers(alpha: float, K: tuple[float, float] = (-1.0, 1.0)) -> ScalarFlux:
@@ -164,142 +254,32 @@ def scaled_burgers(alpha: float, K: tuple[float, float] = (-1.0, 1.0)) -> Scalar
     a = float(alpha)
     if a <= 0.0:
         raise ValueError("alpha must be positive")
-    lam = a * max(abs(K[0]), abs(K[1]))
-    return ScalarFlux(
-        name=f"scaled_burgers {a!r}",
-        f=lambda u: 0.5 * a * u * u,
-        df=lambda u: a * u,
-        d2f=lambda u: np.full_like(u, a),
-        df_inv=lambda s: s / a,
-        K=(float(K[0]), float(K[1])),
-        kappa=a,
-        lambda_hat=lam,
-    )
+    return ScalarFlux(f"scaled_burgers {a!r}", (0.0, 0.0, 0.5 * a), K)
 
 
 def tilted_burgers(eps: float, K: tuple[float, float] = (-1.0, 1.0)) -> ScalarFlux:
     """f(u) = u^2 / 2 + eps * u; a sheared frame of the quadratic flux."""
     e = float(eps)
-    lam = max(abs(K[0] + e), abs(K[1] + e))
-    return ScalarFlux(
-        name=f"tilted_burgers {e!r}",
-        f=lambda u: 0.5 * u * u + e * u,
-        df=lambda u: u + e,
-        d2f=lambda u: np.ones_like(u),
-        df_inv=lambda s: s - e,
-        K=(float(K[0]), float(K[1])),
-        kappa=1.0,
-        lambda_hat=lam,
-    )
+    return ScalarFlux(f"tilted_burgers {e!r}", (0.0, e, 0.5), K)
 
 
 def linear_flux(a: float, K: tuple[float, float] = (-1.0, 1.0)) -> ScalarFlux:
     """f(u) = a * u; transport at constant speed ``a``."""
     a = float(a)
-    return ScalarFlux(
-        name=f"linear {a!r}",
-        f=lambda u: a * u,
-        df=lambda u: np.full_like(np.asarray(u, dtype=float), a),
-        d2f=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        df_inv=None,
-        K=(float(K[0]), float(K[1])),
-        kappa=0.0,
-        lambda_hat=abs(a),
-    )
+    return ScalarFlux(f"linear {a!r}", (0.0, a), K)
 
 
 def convex_poly(
     c2: float, c3: float, c4: float, K: tuple[float, float] = (-1.0, 1.0)
 ) -> ScalarFlux:
-    """f(u) = c2 u^2 + c3 u^3 + c4 u^4 with certificates computed exactly.
+    """f(u) = c2 u^2 + c3 u^3 + c4 u^4.
 
-    ``kappa`` is the exact minimum of ``f''`` on ``K`` when positive
-    (else 0), from the vertex/endpoints of the quadratic ``f''``.
-    ``lambda_hat`` is the exact maximum of ``|f'|`` on ``K``.
+    ``kappa`` is 0 when ``f''`` dips to zero or below somewhere on ``K``;
+    such a flux is not uniformly convex and the exact solvers refuse it.
     """
     c2, c3, c4 = float(c2), float(c3), float(c4)
-    lo, hi = float(K[0]), float(K[1])
-
-    def f(u):
-        return u * u * (c2 + u * (c3 + u * c4))
-
-    def df(u):
-        return u * (2.0 * c2 + u * (3.0 * c3 + u * 4.0 * c4))
-
-    def d2f(u):
-        return 2.0 * c2 + u * (6.0 * c3 + u * 12.0 * c4)
-
-    # min of f'' over K: endpoints plus interior vertex of the parabola
-    cands = [lo, hi]
-    if c4 != 0.0:
-        vtx = -c3 / (4.0 * c4)
-        if lo < vtx < hi:
-            cands.append(vtx)
-    kap = max(0.0, min(float(d2f(np.asarray(c))) for c in cands))
-
-    # max of |f'| over K: endpoints plus real critical points of f'
-    crit = [lo, hi]
-    roots = np.roots([12.0 * c4, 6.0 * c3, 2.0 * c2]) if (c4 or c3) else []
-    for r in np.atleast_1d(roots):
-        if abs(r.imag) < 1e-12 and lo < r.real < hi:
-            crit.append(float(r.real))
-    lam = max(abs(float(df(np.asarray(c)))) for c in crit)
-
-    df_inv = None
-    if kap > 0.0:
-        # Newton has converged once every update is within two ulp of K's
-        # scale; 80 sweeps are the budget.  Slopes at or beyond f'(lo) or
-        # f'(hi) start at that end with a collapsed bracket, since Newton
-        # would overshoot the end and leave the root to bisection.
-        u_tol = 2.0 * np.spacing(max(abs(lo), abs(hi)))
-        s_lo, s_hi = float(df(lo)), float(df(hi))
-
-        def df_inv(s):  # monotone cubic solve, bracketed Newton
-            s = np.asarray(s, dtype=float)
-            a = np.where(s >= s_hi, hi, lo)
-            b = np.where(s <= s_lo, lo, hi)
-            u = 0.5 * (a + b)
-            for _ in range(80):
-                g = df(u) - s
-                a = np.where(g < 0.0, u, a)
-                b = np.where(g > 0.0, u, b)
-                step = g / np.maximum(d2f(u), kap)
-                u_new = u - step
-                bad = (u_new <= a) | (u_new >= b)
-                u_new = np.where(bad, 0.5 * (a + b), u_new)
-                done = np.all(np.abs(u_new - u) <= u_tol)
-                u = u_new
-                if done:
-                    break
-            return u
-
-    return ScalarFlux(
-        name=f"convex_poly {c2!r} {c3!r} {c4!r}",
-        f=f, df=df, d2f=d2f, df_inv=df_inv,
-        K=(lo, hi), kappa=kap, lambda_hat=lam,
-    )
-
-
-def from_spline(u_nodes, f_values, safety: float = 0.99) -> ScalarFlux:
-    """Cubic-spline flux with sampled (not closed-form) certificates.
-
-    Meant for tests that exercise the loose-tolerance path; ``kappa`` and
-    ``lambda_hat`` come from a dense sample with a safety factor.
-    """
-    from scipy.interpolate import CubicSpline
-
-    u_nodes = np.asarray(u_nodes, dtype=float)
-    sp = CubicSpline(u_nodes, np.asarray(f_values, dtype=float))
-    d1, d2 = sp.derivative(1), sp.derivative(2)
-    K = (float(u_nodes[0]), float(u_nodes[-1]))
-    grid = np.linspace(K[0], K[1], 4097)
-    kap = safety * float(np.min(d2(grid)))
-    lam = float(np.max(np.abs(d1(grid)))) / safety
-    return ScalarFlux(
-        name="spline",
-        f=lambda u: sp(u), df=lambda u: d1(u), d2f=lambda u: d2(u),
-        df_inv=None, K=K, kappa=max(0.0, kap), lambda_hat=lam,
-    )
+    return ScalarFlux(f"convex_poly {c2!r} {c3!r} {c4!r}",
+                      (0.0, 0.0, c2, c3, c4), K)
 
 
 def pl_sample(flux: ScalarFlux, segments: int) -> PiecewiseLinearFlux:
@@ -312,6 +292,65 @@ def pl_sample(flux: ScalarFlux, segments: int) -> PiecewiseLinearFlux:
         raise ValueError("need at least one segment")
     nodes = np.linspace(flux.K[0], flux.K[1], segments + 1)
     return PiecewiseLinearFlux(nodes, flux.f(nodes), name=f"pl[{flux.name}]")
+
+
+# -- slopes as piecewise polynomials --------------------------------------------
+
+def slope_pieces(flux) -> tuple[np.ndarray, np.ndarray]:
+    """``f'`` on ``K`` as breakpoints ``x`` and coefficient rows.
+
+    Row ``k`` holds the power-series coefficients of ``f'`` on the cell
+    ``[x[k], x[k + 1]]``, zero-padded to ``MAX_DEGREE`` columns, enough
+    for a cubic: one row for a polynomial, one constant row per segment
+    of a node table.
+    """
+    if isinstance(flux, PiecewiseLinearFlux):
+        rows = np.zeros((flux.slopes.size, MAX_DEGREE))
+        rows[:, 0] = flux.slopes
+        return flux.nodes, rows
+    rows = np.zeros((1, MAX_DEGREE))
+    rows[0, :len(flux.slope_coeffs)] = flux.slope_coeffs
+    return np.asarray(flux.K), rows
+
+
+def _rows_at(x: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # u in [x[0], x[-1]]: the interior breakpoints at or below u count
+    # the cells before the one holding u
+    return rows[np.searchsorted(x[1:-1], u, side="right")]
+
+
+def slope_gap(pieces_f, pieces_g) -> tuple[np.ndarray, np.ndarray]:
+    """``f' - g'`` on the cells cut by both breakpoint sets.
+
+    Both pieces must span the same interval.
+    """
+    (xf, rf), (xg, rg) = pieces_f, pieces_g
+    x = np.union1d(xf, xg)
+    mid = 0.5 * (x[:-1] + x[1:])
+    return x, _rows_at(xf, rf, mid) - _rows_at(xg, rg, mid)
+
+
+def refine(x: np.ndarray, rows: np.ndarray,
+           cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same piecewise polynomial on its cells cut again at ``cuts``."""
+    if cuts.size == 0:
+        return x, rows
+    fine = np.union1d(x, cuts)
+    return fine, _rows_at(x, rows, 0.5 * (fine[:-1] + fine[1:]))
+
+
+def roots_in_cells(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row strictly inside its cell.
+
+    Complex roots are kept by their real part: an extra cut point spoils
+    neither a variation summed over monotone pieces nor a maximum taken
+    over cell ends.
+    """
+    out = [np.empty(0)]
+    for k in np.flatnonzero(np.any(rows[:, 1:] != 0.0, axis=1)):
+        r = np.roots(rows[k][::-1]).real
+        out.append(r[(r > x[k]) & (r < x[k + 1])])
+    return np.concatenate(out)
 
 
 # -- name registry for config files / CLI ----------------------------------

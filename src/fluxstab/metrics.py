@@ -14,8 +14,9 @@ from typing import Callable
 import numpy as np
 
 from .front_tracking import ft_evolve, evolution_window
-from .fluxes import (PiecewiseLinearFlux, burgers, convex_poly,
-                     linear_flux, pl_sample, scaled_burgers, tilted_burgers)
+from .fluxes import (PiecewiseLinearFlux, burgers, convex_poly, eval_rows,
+                     linear_flux, pl_sample, refine, roots_in_cells,
+                     scaled_burgers, slope_gap, slope_pieces, tilted_burgers)
 from .pwfun import PiecewiseConstantFn, l1_distance
 from .riemann import FluxDistanceReport, RiemannSampler, hat_d_estimate
 
@@ -43,31 +44,23 @@ def _slopes_at(flux, xs: np.ndarray) -> np.ndarray:
     return np.asarray(flux.df(xs), dtype=float)
 
 
-def deriv_gap_sup(flux_f, flux_g, n_grid: int = 4096) -> float:
+def deriv_gap_sup(flux_f, flux_g) -> float:
     """``max_K |f' - g'|``, the scalar flux distance in closed form.
 
-    For a pair of piecewise-linear fluxes the value is exact: the merged
-    kink set partitions ``K`` into cells of constant slope and every cell
-    midpoint is inspected.  Smooth derivatives are sampled on ``n_grid``
-    cells in addition to the kinks: at the cell midpoints, and, when
-    neither flux has kinks, at the grid nodes too, which include the
-    endpoints of ``K``.
+    ``f' - g'`` is a polynomial on each cell between the ends of ``K`` and
+    the node tables of both fluxes (a node table's ``f'`` is constant
+    there), so its extremes sit at the cell ends, taken from within the
+    cell, or at roots of ``f'' - g''`` inside it.  All of them are
+    inspected, so the value is exact.
     """
     if abs(flux_f.K[0] - flux_g.K[0]) > 1e-12 or abs(flux_f.K[1] - flux_g.K[1]) > 1e-12:
         raise ValueError("fluxes must share K")
-    lo, hi = flux_f.K
-    kinks = [fl.nodes for fl in (flux_f, flux_g)
-             if isinstance(fl, PiecewiseLinearFlux)]
-    if len(kinks) == 2:
-        grid = np.unique(np.concatenate(kinks + [[lo, hi]]))
-    else:
-        grid = np.unique(np.concatenate([np.linspace(lo, hi, n_grid + 1)]
-                                        + kinks))
-    probes = 0.5 * (grid[:-1] + grid[1:])
-    if not kinks:
-        probes = np.concatenate([probes, grid])
-    return float(np.max(np.abs(_slopes_at(flux_f, probes)
-                               - _slopes_at(flux_g, probes))))
+    pf, pg = slope_pieces(flux_f), slope_pieces(flux_g)
+    x, gap = slope_gap(pf, pg)
+    curvature_gap = gap[:, 1:] * np.arange(1, gap.shape[1])
+    x, gap = refine(x, gap, roots_in_cells(x, curvature_gap))
+    ends = eval_rows(gap, np.stack([x[:-1], x[1:]]))
+    return float(np.max(np.abs(ends)))
 
 
 # -- the semigroup distance bound ----------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fluxstab import (PiecewiseLinearFlux, burgers, convex_poly, from_spline,
+from fluxstab import (PiecewiseLinearFlux, ScalarFlux, burgers, convex_poly,
                       linear_flux, make_flux, pl_sample, scaled_burgers,
                       tilted_burgers)
 
@@ -57,6 +57,20 @@ def test_convex_poly_exact_certificates():
     # a concave-at-zero cubic is not uniformly convex on [-1, 1]
     g = convex_poly(0.1, 0.5, 0.0)
     assert g.kappa == 0.0
+
+
+def test_scalar_flux_certificates_from_coefficients():
+    # f = u + u^3 / 3 on [-1, 2]: f'' = 2u dips below zero, |f'| = 1 + u^2
+    # peaks at u = 2; the trailing zero coefficient is dropped
+    f = ScalarFlux("cubic", (0.0, 1.0, 0.0, 1.0 / 3.0, 0.0), (-1.0, 2.0))
+    assert f.coeffs == (0.0, 1.0, 0.0, 1.0 / 3.0)
+    assert f.degree == 3
+    assert f.kappa == 0.0
+    assert f.lambda_hat == 5.0
+    with pytest.raises(ValueError):
+        f.inverse_deriv(1.0)
+    with pytest.raises(ValueError):
+        ScalarFlux("quintic", (0.0, 0.0, 0.0, 0.0, 0.0, 1.0), (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("flux", [f for f in ALL_SMOOTH if f.kappa > 0.0],
@@ -191,11 +205,3 @@ def test_make_flux_rejects(spec):
     with pytest.raises(ValueError):
         make_flux(spec)
 
-
-def test_spline_flux_certificates_sampled():
-    u = np.linspace(-1.0, 1.0, 9)
-    f = from_spline(u, 0.5 * u * u)
-    assert f.kappa > 0.0
-    assert f.lambda_hat >= 1.0
-    x = np.linspace(-1.0, 1.0, 33)
-    np.testing.assert_allclose(f(x), 0.5 * x * x, atol=1e-9)

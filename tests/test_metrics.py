@@ -36,13 +36,18 @@ def test_deriv_gap_smooth_quartic_pair():
     assert got == pytest.approx(1.0, abs=1e-14)
 
 
+def test_deriv_gap_interior_extreme():
+    # f' - g' = u^3 - u vanishes at the ends of K and peaks at 1/sqrt(3)
+    got = deriv_gap_sup(convex_poly(0.5, 0.0, 0.25), scaled_burgers(2.0))
+    assert got == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), abs=1e-15)
+
+
 def test_deriv_gap_mixed_pl_and_smooth():
     f = pl_sample(burgers(), 64)
     got = deriv_gap_sup(f, burgers())
-    # staircase slopes sit half a cell off the true derivative; the sampled
-    # sup undershoots 1/64 by at most one cell of the 4096-point scan
-    assert got <= 1.0 / 64
-    assert got >= 1.0 / 64 - 2.0 / 4096
+    # staircase slopes sit half a cell off the true derivative, which
+    # reaches them at every node, from within the cell
+    assert got == pytest.approx(1.0 / 64, abs=1e-14)
 
 
 def test_deriv_gap_requires_shared_span():

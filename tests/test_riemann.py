@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from fluxstab import (PiecewiseLinearFlux, Rarefaction, RiemannSampler, Shock,
-                      UnsupportedFluxError, burgers, eval_fan, hat_d_estimate,
-                      linear_flux, pl_sample, riemann_l1_diff, scaled_burgers,
-                      solve_riemann, tilted_burgers, validate_fan)
+from fluxstab import (PiecewiseLinearFlux, Rarefaction, RiemannSampler,
+                      ScalarFlux, Shock, UnsupportedFluxError, bundled_pairs,
+                      burgers, convex_poly, deriv_gap_sup, eval_fan,
+                      hat_d_estimate, linear_flux, pl_sample, riemann_l1_diff,
+                      scaled_burgers, solve_riemann, tilted_burgers,
+                      validate_fan)
 
 
 def test_burgers_shock():
@@ -50,11 +52,18 @@ def test_linear_flux_contact_both_orientations():
 
 def test_smooth_nonconvex_increasing_jump_rejected():
     # kappa = 0 without an envelope table: refuse rather than guess
-    from fluxstab import ScalarFlux
-    bad = ScalarFlux(name="cubic", f=lambda u: u ** 3, df=lambda u: 3 * u * u,
-                     K=(-1.0, 1.0), kappa=0.0, lambda_hat=3.0)
+    bad = ScalarFlux("cubic", (0.0, 0.0, 0.0, 1.0), (-1.0, 1.0))
+    assert bad.kappa == 0.0
     with pytest.raises(UnsupportedFluxError):
         solve_riemann(bad, -0.5, 0.5)
+
+
+def test_smooth_nonconvex_decreasing_jump_rejected():
+    # the concave envelope of u^3 on [-0.5, 0.5] follows the flux on the
+    # left, so a lone chord shock would be inadmissible
+    bad = ScalarFlux("cubic", (0.0, 0.0, 0.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(UnsupportedFluxError):
+        solve_riemann(bad, 0.5, -0.5)
 
 
 def test_pl_single_facet_hull():
@@ -127,6 +136,51 @@ def test_l1_diff_tilted_rarefactions():
     assert got == pytest.approx(eps * t * 2.0, rel=1e-7)
 
 
+def test_l1_diff_quartic_vs_quadratic_closed_form():
+    # f - g = u^4 / 4 falls to 0 and rises again across a jump over 0,
+    # so the gap is its variation, t (a^4 + b^4) / 4
+    rng = np.random.default_rng(11)
+    f, g = convex_poly(0.5, 0.0, 0.25), burgers()
+    for _ in range(200):
+        a, b = -rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        t = rng.uniform(0.5, 2.0)
+        want = t * 0.25 * (a ** 4 + b ** 4)
+        assert riemann_l1_diff(f, g, a, b, t) == pytest.approx(want, rel=1e-13)
+
+
+def _cubic_state(uL, uR, xi):
+    # entropy solution of f = u^2/2 + u^3/10 at speed xi, in closed form:
+    # a shock for falling data, else f' = u + 0.3 u^2 inverted by the
+    # quadratic formula
+    if uL > uR:
+        speed = ((uR ** 2 - uL ** 2) / 2 + (uR ** 3 - uL ** 3) / 10) / (uR - uL)
+        return uL if xi <= speed else uR
+    return float(np.clip((np.sqrt(max(1.0 + 1.2 * xi, 0.0)) - 1.0) / 0.6,
+                         uL, uR))
+
+
+def test_l1_diff_mixed_smooth_and_sampled_pair():
+    from scipy.integrate import quad
+
+    f, g = convex_poly(0.5, 0.1, 0.0), pl_sample(burgers(), 16)
+    # rising data cross facets of the staircase at and between its nodes
+    for uL, uR in [(-1.0, 1.0), (-0.7, 0.43), (0.31, 0.9), (1.0, -1.0),
+                   (0.55, -0.2)]:
+        # reference: |u_f - u_g| integrated over the speed xi = x / t,
+        # piece by piece between the wave speeds of both fans
+        fan_g = solve_riemann(g, uL, uR)
+        edges = sorted({w.speed for w in fan_g.waves}
+                       | set(solve_riemann(f, uL, uR).speed_range))
+
+        def gap(xi):
+            return abs(_cubic_state(uL, uR, xi) - eval_fan(fan_g, 1.0, xi))
+
+        want = 1.5 * sum(quad(gap, lo, hi, epsabs=1e-14, epsrel=1e-12)[0]
+                         for lo, hi in zip(edges[:-1], edges[1:]))
+        got = riemann_l1_diff(f, g, uL, uR, 1.5)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
 def test_l1_diff_zero_for_equal_data():
     assert riemann_l1_diff(burgers(), scaled_burgers(2.0), 0.3, 0.3) == 0.0
 
@@ -156,3 +210,12 @@ def test_hat_d_scale_concentrates_near_diagonal():
 def test_hat_d_requires_shared_k():
     with pytest.raises(ValueError):
         hat_d_estimate(burgers((-1.0, 1.0)), burgers((-2.0, 1.0)))
+
+
+@pytest.mark.parametrize("entry", [e for e in bundled_pairs()
+                                   if e["name"] != "linear-pair"],
+                         ids=lambda e: e["name"])
+def test_hat_d_never_exceeds_derivative_gap(entry):
+    f, g = entry["f"], entry["g"]
+    rep = hat_d_estimate(f, g, RiemannSampler())
+    assert rep.estimate <= deriv_gap_sup(f, g) * (1.0 + 1e-12)
