@@ -69,7 +69,7 @@ def _out_dir(cfg) -> Path | None:
 
 def _maybe_pl(flux, segments: int):
     if segments > 0 and not isinstance(flux, PiecewiseLinearFlux) \
-            and flux.kappa > 0.0:
+            and flux.degree >= 2:
         return pl_sample(flux, segments)
     return flux
 

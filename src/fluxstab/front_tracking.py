@@ -6,6 +6,13 @@ collisions; each collision is resolved by the exact Riemann solver.  The
 result at the final time is therefore an exact entropy solution, not an
 approximation, which is what makes the semigroup distances computed here
 trustworthy reference numbers.
+
+The fronts are kept in four arrays, position, speed, left and right state,
+sorted by position.  A collision changes only the fronts that meet, so each
+event advances every front to the earliest neighbour collision and splices
+the waves of one Riemann problem in place of that colliding group; groups
+that meet at the same instant follow on the next events with a zero time
+step.  The total variation is updated by the change in the replaced jumps.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ class FrontTrackingState:
 
     ``fronts`` holds ``(position, speed, left, right)`` rows sorted by
     position; ``tv_history`` holds ``(time, total_variation)`` pairs, one
-    entry at time zero plus one after every collision, so the exact time
+    entry at time zero plus one after every resolved collision group, so
+    times repeat when groups meet at the same instant and the exact time
     integral of TV is a finite sum.
     """
 
@@ -63,22 +71,6 @@ def _project_values(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.where(values - lo <= hi - values, lo, hi)
 
 
-def _initial_fronts(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
-                    project: bool) -> list:
-    vals = u0.values[:, 0]
-    nodes = getattr(flux, "nodes", None)
-    if project and nodes is not None:
-        vals = _project_values(vals, nodes)
-    fronts = []
-    for k, x in enumerate(u0.breakpoints):
-        vl, vr = float(vals[k]), float(vals[k + 1])
-        if vl == vr:
-            continue
-        for w in _shock_waves(flux, vl, vr):
-            fronts.append([float(x), w.speed, w.left, w.right])
-    return fronts
-
-
 def _shock_waves(flux, vl: float, vr: float) -> list:
     waves = solve_riemann(flux, vl, vr).waves
     for w in waves:
@@ -89,16 +81,22 @@ def _shock_waves(flux, vl: float, vr: float) -> list:
     return waves
 
 
-def _profile_from(fronts: list, tail: float, pos_tol: float) -> PiecewiseConstantFn:
-    bps: list[float] = []
-    vals: list[float] = [tail]
-    for x, _s, _l, r in fronts:
-        if bps and x - bps[-1] <= pos_tol:
-            vals[-1] = r  # coincident fronts collapse to one jump
-        else:
-            bps.append(x)
-            vals.append(r)
-    fn = PiecewiseConstantFn(np.asarray(bps), np.asarray(vals))
+def _fronts_at(flux, xs, vls, vrs) -> np.ndarray:
+    """Rows ``(position, speed, left, right)`` of the waves of each jump."""
+    rows = [(x, w.speed, w.left, w.right)
+            for x, vl, vr in zip(xs, vls, vrs)
+            for w in _shock_waves(flux, vl, vr)]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _profile_from(x: np.ndarray, right: np.ndarray, tail: float,
+                  pos_tol: float) -> PiecewiseConstantFn:
+    if x.size == 0:
+        return PiecewiseConstantFn.constant(tail)
+    # coincident fronts collapse to one jump carrying the last right state
+    starts = np.flatnonzero(np.diff(x, prepend=-np.inf) > pos_tol)
+    ends = np.append(starts[1:], x.size) - 1
+    fn = PiecewiseConstantFn(x[starts], np.append(tail, right[ends]))
     return fn.simplified()
 
 
@@ -106,84 +104,70 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn, T: float,
               project: bool = True) -> FrontTrackingState:
     """Track ``u0`` under ``flux`` up to time ``T``.
 
-    Data values are snapped to the nearest flux node first (``project``);
-    collisions closer than the position tolerance in space and time are
-    merged and resolved as one Riemann problem between the outermost
-    states.  Raises :class:`FrontTrackingError` if the event budget is
-    exhausted, which signals an internal error rather than bad input.
+    Data values are snapped to the nearest flux node first (``project``).
+    Each event advances all fronts to the earliest collision of two
+    neighbours, widens that pair to the run of fronts within the position
+    tolerance, and resolves the run as one Riemann problem between its
+    outermost states at their mean position.  Raises
+    :class:`FrontTrackingError` if the event budget is exhausted, which
+    signals an internal error rather than bad input.
     """
     if u0.dim != 1:
         raise ValueError("front tracking needs scalar data")
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    fronts = _initial_fronts(flux, u0, project)
+    vals = u0.values[:, 0]
+    nodes = getattr(flux, "nodes", None)
+    if project and nodes is not None:
+        vals = _project_values(vals, nodes)
+    tail = float(vals[0])
+    jump = vals[:-1] != vals[1:]
+    x, s, left, right = _fronts_at(
+        flux, u0.breakpoints[jump].tolist(), vals[:-1][jump].tolist(),
+        vals[1:][jump].tolist()).T.copy()
     span = [abs(b) for b in (u0.support or (0.0, 0.0))]
     pos_tol = 1e-12 * (1.0 + max(span) + flux.lambda_hat * T)
-    nodes = getattr(flux, "nodes", None)
-    tail = float(u0.values[0, 0])
-    if project and nodes is not None:
-        tail = float(_project_values(u0.values[:1, 0], nodes)[0])
 
-    def tv_now() -> float:
-        return float(sum(abs(r - l) for _x, _s, l, r in fronts))
-
-    tv_history = [(0.0, tv_now())]
+    tv = float(np.sum(np.abs(right - left)))
+    tv_history = [(0.0, tv)]
     n_events = 0
     n_nodes = nodes.size if nodes is not None else 0
-    max_events = 1000 + 4 * (len(fronts) + n_nodes) ** 2
+    max_events = 1000 + 4 * (x.size + n_nodes) ** 2
     t = 0.0
-    while t < T and len(fronts) > 1:
-        dt_min = None
-        for (x0, s0, _a, _b), (x1, s1, _c, _d) in zip(fronts, fronts[1:]):
-            ds = s0 - s1
-            if ds > _PARALLEL:
-                dt = max(x1 - x0, 0.0) / ds
-                if dt_min is None or dt < dt_min:
-                    dt_min = dt
-        if dt_min is None or t + dt_min >= T:
+    while t < T and x.size > 1:
+        closing = s[:-1] - s[1:]
+        dts = np.divide(np.maximum(np.diff(x), 0.0), closing,
+                        out=np.full(closing.size, np.inf),
+                        where=closing > _PARALLEL)
+        k = int(np.argmin(dts))
+        dt = float(dts[k])
+        if t + dt >= T:
             break
-        t += dt_min
-        for f in fronts:
-            f[0] += f[1] * dt_min
-        # group coincident fronts, resolve groups that actually cross
-        resolved: list = []
-        i = 0
-        while i < len(fronts):
-            j = i
-            while j + 1 < len(fronts) and fronts[j + 1][0] - fronts[j][0] <= pos_tol:
-                j += 1
-            group = fronts[i:j + 1]
-            crossing = any(
-                group[k][1] > group[k + 1][1] + _PARALLEL
-                for k in range(len(group) - 1)
-            )
-            if crossing:
-                x_bar = float(np.mean([g[0] for g in group]))
-                outer_l, outer_r = group[0][2], group[-1][3]
-                for w in _shock_waves(flux, outer_l, outer_r):
-                    resolved.append([x_bar, w.speed, w.left, w.right])
-                n_events += 1
-            else:
-                resolved.extend(group)
-            i = j + 1
-        fronts = resolved
-        tv_history.append((t, tv_now()))
+        t += dt
+        x += s * dt
+        i, j = k, k + 1
+        while i > 0 and x[i] - x[i - 1] <= pos_tol:
+            i -= 1
+        while j + 1 < x.size and x[j + 1] - x[j] <= pos_tol:
+            j += 1
+        new = _fronts_at(flux, [float(np.mean(x[i:j + 1]))],
+                         [float(left[i])], [float(right[j])])
+        tv += float(np.sum(np.abs(new[:, 3] - new[:, 2]))
+                    - np.sum(np.abs(right[i:j + 1] - left[i:j + 1])))
+        x, s, left, right = (np.concatenate([a[:i], b, a[j + 1:]])
+                             for a, b in zip((x, s, left, right), new.T))
+        n_events += 1
+        tv_history.append((t, tv))
         if n_events > max_events:
             raise FrontTrackingError(
-                f"event budget exhausted ({n_events} events, {len(fronts)} fronts)"
+                f"event budget exhausted ({n_events} events, {x.size} fronts)"
             )
-    dt_final = T - t
-    if dt_final > 0.0:
-        for f in fronts:
-            f[0] += f[1] * dt_final
-    profile = (
-        _profile_from(fronts, tail, pos_tol)
-        if fronts else PiecewiseConstantFn.constant(tail)
-    )
+    if T > t:
+        x += s * (T - t)
     return FrontTrackingState(
         time=T,
-        profile=profile,
-        fronts=tuple(tuple(f) for f in fronts),
+        profile=_profile_from(x, right, tail, pos_tol),
+        fronts=tuple(zip(x.tolist(), s.tolist(), left.tolist(), right.tolist())),
         tv_history=tuple(tv_history),
         n_events=n_events,
     )

@@ -62,19 +62,6 @@ class EigenDecomposition:
         return np.outer(self.right[:, j], self.left[j, :])
 
 
-def _charpoly(A: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first."""
-    n = A.shape[0]
-    coeffs = [1.0]
-    M = np.eye(n)
-    for k in range(1, n + 1):
-        AM = A @ M
-        ck = -np.trace(AM) / k
-        coeffs.append(ck)
-        M = AM + ck * np.eye(n)
-    return np.asarray(coeffs)
-
-
 def decompose(A, tol: float = 1e-8) -> EigenDecomposition:
     """Real spectral decomposition with deterministic ordering and signs.
 
@@ -94,16 +81,7 @@ def decompose(A, tol: float = 1e-8) -> EigenDecomposition:
         return EigenDecomposition(matrix=A, eigenvalues=A[0].copy(),
                                   right=v, left=v)
 
-    coeffs = _charpoly(A)
-    roots = np.roots(coeffs)
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(5):  # Newton polish on the charpoly
-        p = np.polyval(coeffs, roots)
-        dp = np.polyval(dcoeffs, roots)
-        step = np.where(np.abs(dp) > 1e-30, p / np.where(dp == 0, 1.0, dp), 0.0)
-        better = np.abs(np.polyval(coeffs, roots - step)) <= np.abs(p)
-        roots = np.where(better, roots - step, roots)
-
+    roots = np.linalg.eigvals(A)
     if np.max(np.abs(roots.imag)) > tol * scale:
         raise DecompositionError(
             f"complex eigenvalues {np.sort_complex(roots)} "

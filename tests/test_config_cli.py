@@ -274,6 +274,13 @@ def test_cli_failing_check_exits_1(capsys):
     assert "[FAIL] classical-limit" in capsys.readouterr().out
 
 
+def test_cli_evolve_samples_nonconvex_polynomial(capsys):
+    code = main(["evolve", "flux=convex_poly 0.1 0.5 0",
+                 "datum=riemann 0.5 -0.5", "T=0.5", "segments=64"])
+    assert code == 0
+    assert "evolved pl[" in capsys.readouterr().out
+
+
 def test_cli_runtime_error_exits_3(capsys):
     code = main(["evolve", "flux=burgers", "segments=0",
                  "datum=riemann -1 1", "T=0.1"])

@@ -7,6 +7,9 @@ from fluxstab import (FrontTrackingError, PiecewiseConstantFn,
                       PiecewiseLinearFlux, burgers, evolution_window,
                       ft_evolve, l1_distance, linear_flux, pl_sample,
                       semigroup_l1_diff, total_variation)
+from fluxstab.front_tracking import (_PARALLEL, FrontTrackingState,
+                                     _project_values, _shock_waves)
+from fluxstab.metrics import bundled_pairs
 
 
 def pulse(height=1.0, width=1.0):
@@ -24,6 +27,29 @@ def test_merging_shocks_hand_case():
     np.testing.assert_allclose(prof.breakpoints, [3.5], atol=1e-12)
     np.testing.assert_allclose(prof.values[:, 0], [2.0, 0.0], atol=1e-15)
     assert state.tv_time_integral() == pytest.approx(4.0, abs=1e-12)
+    # stopping at the collision time leaves both fronts at x = 2, which the
+    # profile shows as one jump
+    at_meeting = ft_evolve(flux, u0, 1.0)
+    assert at_meeting.n_events == 0 and len(at_meeting.fronts) == 2
+    np.testing.assert_array_equal(at_meeting.profile.breakpoints, [2.0])
+    np.testing.assert_array_equal(at_meeting.profile.values[:, 0], [2.0, 0.0])
+
+
+def test_triple_collision_is_one_event():
+    # shocks at speeds 4, 3, 2 aimed at one point (t*, x*); rounding makes
+    # either pair meet first, and the other must join the same group
+    flux = PiecewiseLinearFlux([0.0, 1.0, 2.0, 3.0, 4.0],
+                               [0.0, 1.0, 3.0, 6.0, 10.0])
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        ts, xs = rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0)
+        u0 = PiecewiseConstantFn.from_steps(
+            4.0, [(xs - 4 * ts, 3.0), (xs - 3 * ts, 2.0), (xs - 2 * ts, 1.0)])
+        state = ft_evolve(flux, u0, 2.0)
+        assert state.n_events == 1
+        assert [tv for _, tv in state.tv_history] == pytest.approx([3.0, 3.0])
+        np.testing.assert_allclose(state.profile.breakpoints,
+                                   [xs + 3.0 * (2.0 - ts)], atol=1e-12)
 
 
 def test_single_shock_zero_events():
@@ -148,3 +174,196 @@ def test_time_zero_and_negative_time():
     assert state.time == 0.0
     with pytest.raises(ValueError):
         ft_evolve(flux, u0, -1.0)
+
+
+# -- reference: the event loop that rescans, regroups and recounts TV -----------
+
+def _reference_initial_fronts(flux, u0, project):
+    vals = u0.values[:, 0]
+    nodes = getattr(flux, "nodes", None)
+    if project and nodes is not None:
+        vals = _project_values(vals, nodes)
+    fronts = []
+    for k, x in enumerate(u0.breakpoints):
+        vl, vr = float(vals[k]), float(vals[k + 1])
+        if vl == vr:
+            continue
+        for w in _shock_waves(flux, vl, vr):
+            fronts.append([float(x), w.speed, w.left, w.right])
+    return fronts
+
+
+def _reference_profile(fronts, tail, pos_tol):
+    bps: list[float] = []
+    vals: list[float] = [tail]
+    for x, _s, _l, r in fronts:
+        if bps and x - bps[-1] <= pos_tol:
+            vals[-1] = r  # coincident fronts collapse to one jump
+        else:
+            bps.append(x)
+            vals.append(r)
+    fn = PiecewiseConstantFn(np.asarray(bps), np.asarray(vals))
+    return fn.simplified()
+
+
+def _regroup_reference(flux, u0, T, project=True):
+    """Reference: every event rescans all neighbour pairs, advances every
+    front in Python, regroups the whole list and recomputes TV."""
+    fronts = _reference_initial_fronts(flux, u0, project)
+    span = [abs(b) for b in (u0.support or (0.0, 0.0))]
+    pos_tol = 1e-12 * (1.0 + max(span) + flux.lambda_hat * T)
+    nodes = getattr(flux, "nodes", None)
+    tail = float(u0.values[0, 0])
+    if project and nodes is not None:
+        tail = float(_project_values(u0.values[:1, 0], nodes)[0])
+
+    def tv_now() -> float:
+        return float(sum(abs(r - l) for _x, _s, l, r in fronts))
+
+    tv_history = [(0.0, tv_now())]
+    n_events = 0
+    n_nodes = nodes.size if nodes is not None else 0
+    max_events = 1000 + 4 * (len(fronts) + n_nodes) ** 2
+    t = 0.0
+    while t < T and len(fronts) > 1:
+        dt_min = None
+        for (x0, s0, _a, _b), (x1, s1, _c, _d) in zip(fronts, fronts[1:]):
+            ds = s0 - s1
+            if ds > _PARALLEL:
+                dt = max(x1 - x0, 0.0) / ds
+                if dt_min is None or dt < dt_min:
+                    dt_min = dt
+        if dt_min is None or t + dt_min >= T:
+            break
+        t += dt_min
+        for f in fronts:
+            f[0] += f[1] * dt_min
+        # group coincident fronts, resolve groups that actually cross
+        resolved: list = []
+        i = 0
+        while i < len(fronts):
+            j = i
+            while j + 1 < len(fronts) and fronts[j + 1][0] - fronts[j][0] <= pos_tol:
+                j += 1
+            group = fronts[i:j + 1]
+            crossing = any(
+                group[k][1] > group[k + 1][1] + _PARALLEL
+                for k in range(len(group) - 1)
+            )
+            if crossing:
+                x_bar = float(np.mean([g[0] for g in group]))
+                outer_l, outer_r = group[0][2], group[-1][3]
+                for w in _shock_waves(flux, outer_l, outer_r):
+                    resolved.append([x_bar, w.speed, w.left, w.right])
+                n_events += 1
+            else:
+                resolved.extend(group)
+            i = j + 1
+        fronts = resolved
+        tv_history.append((t, tv_now()))
+        if n_events > max_events:
+            raise FrontTrackingError(
+                f"event budget exhausted ({n_events} events, {len(fronts)} fronts)"
+            )
+    dt_final = T - t
+    if dt_final > 0.0:
+        for f in fronts:
+            f[0] += f[1] * dt_final
+    profile = (
+        _reference_profile(fronts, tail, pos_tol)
+        if fronts else PiecewiseConstantFn.constant(tail)
+    )
+    return FrontTrackingState(
+        time=T,
+        profile=profile,
+        fronts=tuple(tuple(f) for f in fronts),
+        tv_history=tuple(tv_history),
+        n_events=n_events,
+    )
+
+
+def test_simultaneous_groups_resolve_on_consecutive_events():
+    # slopes 1, 2, 3, 4: two shock pairs meet at t = 1, their merged shocks
+    # at t = 2.5 (x = 9.25); the last shock moves at speed 2.5 after that
+    flux = PiecewiseLinearFlux([0.0, 1.0, 2.0, 3.0, 4.0],
+                               [0.0, 1.0, 3.0, 6.0, 10.0])
+    u0 = PiecewiseConstantFn.from_steps(
+        4.0, [(0.0, 3.0), (1.0, 2.0), (5.0, 1.0), (6.0, 0.0)])
+    state = ft_evolve(flux, u0, 4.0)
+    assert state.n_events == 3
+    assert [t for t, _ in state.tv_history] == [0.0, 1.0, 1.0, 2.5]
+    assert [tv for _, tv in state.tv_history] == [4.0] * 4
+    np.testing.assert_allclose(state.profile.breakpoints, [13.0], atol=1e-12)
+    assert state.tv_time_integral() == pytest.approx(16.0, abs=1e-12)
+    want = _regroup_reference(flux, u0, 4.0)
+    assert want.n_events == 3
+    np.testing.assert_array_equal(state.profile.breakpoints,
+                                  want.profile.breakpoints)
+
+
+def _criterion10_steps(rng):
+    n = int(rng.integers(2, 9))
+    xs = np.cumsum(rng.uniform(0.05, 0.3, size=n)) - 1.0
+    tail = float(rng.uniform(-0.5, 0.5))
+    vals = rng.uniform(-0.5, 0.5, size=n - 1)
+    pieces = [(float(x), float(v)) for x, v in zip(xs[:-1], vals)]
+    pieces.append((float(xs[-1]), tail))
+    return PiecewiseConstantFn.from_steps(tail, pieces)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(7)  # criterion 10's draws, in its order
+    nodes = np.linspace(-1.0, 1.0, 17)
+    for _ in range(50):
+        flux = PiecewiseLinearFlux(nodes, rng.uniform(-0.5, 0.5, size=17))
+        yield flux, _criterion10_steps(rng), 0.5
+        yield flux, _criterion10_steps(rng), 0.5
+    stair = PiecewiseConstantFn.from_steps(
+        0.0, [(-0.5, 0.8), (0.0, -0.6), (0.75, 0.0)])
+    for entry in bundled_pairs(segments=128):
+        for flux in (entry["f"], entry["g"]):
+            yield flux, pulse(), 1.0
+            yield flux, stair, 1.0
+    rng = np.random.default_rng(12)
+    bps = np.linspace(-1.0, 1.0, 12) + rng.uniform(-0.05, 0.05, 12)
+    mags = rng.uniform(0.2, 1.0, 11)
+    vals = np.concatenate([[0.0], mags * (-1.0) ** np.arange(11), [0.0]])
+    yield pl_sample(burgers(), 512), PiecewiseConstantFn(bps, vals), 1.0
+
+
+def test_matches_regrouping_reference():
+    n_cases = 0
+    for flux, u0, T in _reference_cases():
+        got = ft_evolve(flux, u0, T)
+        want = _regroup_reference(flux, u0, T)
+        assert got.n_events == want.n_events
+        np.testing.assert_allclose(got.profile.breakpoints,
+                                   want.profile.breakpoints, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.profile.values, want.profile.values,
+                                   rtol=0, atol=1e-12)
+        assert got.tv_time_integral() == pytest.approx(
+            want.tv_time_integral(), rel=0, abs=1e-12)
+        n_cases += 1
+    assert n_cases == 100 + 24 + 1
+
+
+def test_many_jumps_keep_mass_variation_and_contraction():
+    flux = pl_sample(burgers(), 512)
+    rng = np.random.default_rng(50)
+    T = 0.5
+
+    def node_steps():
+        bps = np.sort(rng.uniform(-1.0, 1.0, 50))
+        vals = rng.choice(flux.nodes, 51)
+        vals[-1] = vals[0]  # equal tails, so the window integral is conserved
+        return PiecewiseConstantFn(bps, vals)
+
+    u0, v0 = node_steps(), node_steps()
+    win = (-3.0, 3.0)  # holds every front: data on [-1, 1], speeds <= 1
+    ut, vt = ft_evolve(flux, u0, T), ft_evolve(flux, v0, T)
+    assert ut.n_events > 1000 and vt.n_events > 1000
+    for d0, dt in ((u0, ut.profile), (v0, vt.profile)):
+        assert abs(dt.integral(win).item() - d0.integral(win).item()) <= 1e-10
+        assert total_variation(dt) - total_variation(d0) <= 1e-10
+    assert (l1_distance(ut.profile, vt.profile, win)
+            - l1_distance(u0, v0, win)) <= 1e-10
