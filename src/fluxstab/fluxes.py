@@ -197,11 +197,21 @@ class ScalarFlux:
 
 @dataclass(frozen=True)
 class PiecewiseLinearFlux:
-    """Flux given by linear interpolation of a node table on ``K``."""
+    """Flux given by linear interpolation of a node table on ``K``.
+
+    ``slopes`` holds the slope of each segment, computed once.  ``convex``
+    is derived from them: it is set when the slopes strictly increase, so
+    that every interior node is a kink of a convex graph and the Riemann
+    fans can be read off a slice of the table.  A table with equal
+    neighbouring slopes, such as a sampled linear flux, is not ``convex``:
+    its fans come from a hull, which merges collinear nodes into one wave.
+    """
 
     nodes: np.ndarray
     flux_values: np.ndarray
     name: str = "pl"
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    convex: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -214,10 +224,13 @@ class PiecewiseLinearFlux:
             raise ValueError("flux_values must match nodes")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(vals))):
             raise ValueError("nodes and values must be finite")
-        nodes.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "flux_values", vals)
+        slopes = np.diff(vals) / np.diff(nodes)
+        for arr in (nodes, vals, slopes):
+            arr.setflags(write=False)
+        for name, value in [("nodes", nodes), ("flux_values", vals),
+                            ("slopes", slopes),
+                            ("convex", bool(np.all(np.diff(slopes) > 0.0)))]:
+            object.__setattr__(self, name, value)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -228,10 +241,6 @@ class PiecewiseLinearFlux:
     @property
     def K(self) -> tuple[float, float]:
         return float(self.nodes[0]), float(self.nodes[-1])
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.flux_values) / np.diff(self.nodes)
 
     @property
     def lambda_hat(self) -> float:

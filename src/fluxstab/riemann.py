@@ -1,12 +1,16 @@
 """Exact Riemann solvers for scalar conservation laws and the flux distance.
 
-Two flux classes admit exact single-jump solutions here:
+Three flux classes admit exact single-jump solutions here:
 
 * polynomial fluxes that are uniformly convex (``kappa > 0``) or affine:
   a single shock, rarefaction or contact, by Lax admissibility;
-* piecewise-linear fluxes: a fan of admissible jumps obtained from the
-  convex (increasing data) or concave (decreasing data) envelope of the
-  node table between the two states.
+* convex node tables (segment slopes strictly increasing): the fan is
+  read off a slice of the table, one front per segment between the two
+  states at that segment's chord slope for increasing data, and one chord
+  shock for decreasing data;
+* any other piecewise-linear flux: a fan of admissible jumps obtained
+  from the convex (increasing data) or concave (decreasing data) envelope
+  of the node table between the two states, built as a hull.
 
 Either way the fan is the envelope ``E`` of the flux on the jump
 interval: a shock is a facet of ``E`` with its speed as slope, a
@@ -123,7 +127,42 @@ def _lower_hull(us: np.ndarray, fs: np.ndarray) -> list[int]:
     return hull
 
 
+def _slice_fan(flux: PiecewiseLinearFlux, uL: float,
+               uR: float) -> tuple[np.ndarray, np.ndarray]:
+    """States and speeds of the fan of a convex table, data inside ``K``.
+
+    The front at ``speeds[k]`` runs from ``states[k]`` to
+    ``states[k + 1]``.  Increasing data follow the table through the
+    nodes strictly inside the jump; decreasing data make one chord shock.
+    """
+    nodes = flux.nodes
+    if uL < uR:
+        inner = nodes[np.searchsorted(nodes, uL, side="right"):
+                      np.searchsorted(nodes, uR)]
+        states = np.concatenate(([uL], inner, [uR]))
+    else:
+        states = np.array([uL, uR])
+    fs = np.interp(states, nodes, flux.flux_values)
+    # slices rather than np.diff, whose call costs more than these
+    # few-element differences
+    return states, (fs[1:] - fs[:-1]) / (states[1:] - states[:-1])
+
+
+def _takes_slice(flux: AnyFlux, uL: float, uR: float) -> bool:
+    """Whether ``_slice_fan`` solves this flux on these data.
+
+    Data within the rounding slack outside ``K`` are left to the hull.
+    """
+    return (isinstance(flux, PiecewiseLinearFlux) and flux.convex
+            and flux.nodes[0] <= min(uL, uR)
+            and max(uL, uR) <= flux.nodes[-1])
+
+
 def _envelope_waves(flux: PiecewiseLinearFlux, uL: float, uR: float) -> tuple:
+    if _takes_slice(flux, uL, uR):
+        states, speeds = _slice_fan(flux, uL, uR)
+        states = states.tolist()
+        return tuple(map(Shock, speeds.tolist(), states[:-1], states[1:]))
     a, b = (uL, uR) if uL < uR else (uR, uL)
     nodes = flux.nodes
     inner = nodes[(nodes > a) & (nodes < b)]
@@ -230,11 +269,21 @@ def riemann_l1_diff(flux_f: AnyFlux, flux_g: AnyFlux,
     inside each cell, each increment integrated exactly.  A sum over any
     cut points is at most the variation, so the value is a lower bound by
     construction, and the roots make it exact.
+
+    When both fluxes are convex tables, ``E'`` is read off the table
+    slices directly: it is constant on each cell, so the gap is
+    ``t * sum |width * (E_f' - E_g')|`` with no root to find.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
     if uL == uR:
         return 0.0
+    if _takes_slice(flux_f, uL, uR) and _takes_slice(flux_g, uL, uR):
+        # E' is the speed between neighbouring states; a falling jump's
+        # single cell needs no turning round, as the union sorts its ends
+        x, gap = slope_gap(_slice_fan(flux_f, uL, uR),
+                           _slice_fan(flux_g, uL, uR))
+        return t * float(np.sum(np.abs((x[1:] - x[:-1]) * gap)))
     pf = _envelope_slope(flux_f, solve_riemann(flux_f, uL, uR))
     pg = _envelope_slope(flux_g, solve_riemann(flux_g, uL, uR))
     x, gap = slope_gap(pf, pg)
@@ -328,7 +377,10 @@ def validate_fan(fan: RiemannFan, flux: AnyFlux, tol: float = 1e-9) -> None:
 
     Speeds nondecreasing, states chain from uL to uR, every jump satisfies
     the Rankine-Hugoniot relation and the chord-slope admissibility
-    condition, and rarefaction values invert the flux derivative.
+    condition, and rarefaction values invert the flux derivative.  On a
+    node table the chord condition is checked at every node strictly
+    between a jump's states, which is exact, with a 1e-12 relative slack;
+    on a polynomial at seven points across the jump with a 1e-7 slack.
     """
     state = fan.uL
     last_speed = -np.inf
@@ -338,10 +390,18 @@ def validate_fan(fan: RiemannFan, flux: AnyFlux, tol: float = 1e-9) -> None:
             assert abs(w.left - state) <= tol, "states must chain"
             rh = _rh_speed(flux, w.left, w.right)
             assert abs(rh - w.speed) <= tol * (1.0 + abs(rh)), "RH violated"
-            # chord condition: s(u-, w) >= s(u-, u+) for w between the states
-            for w_mid in np.linspace(w.left, w.right, 9)[1:-1]:
+            # chord condition: s(u-, w) >= s(u-, u+) for w between the
+            # states; a table's chord gap is piecewise linear in w, so its
+            # nodes decide it exactly, while a polynomial is sampled
+            if isinstance(flux, PiecewiseLinearFlux):
+                lo, hi = sorted((w.left, w.right))
+                nodes = flux.nodes
+                mids, slack = nodes[(nodes > lo) & (nodes < hi)], 1e-12
+            else:
+                mids, slack = np.linspace(w.left, w.right, 9)[1:-1], 1e-7
+            for w_mid in mids:
                 s_mid = _rh_speed(flux, w.left, float(w_mid))
-                assert s_mid >= w.speed - 1e-7 * (1.0 + abs(w.speed)), (
+                assert s_mid >= w.speed - slack * (1.0 + abs(w.speed)), (
                     "inadmissible jump"
                 )
             state = w.right

@@ -166,7 +166,16 @@ def test_pl_flux_rejects_out_of_span():
 
 def test_pl_slopes_monotone_for_convex_source():
     p = pl_sample(convex_poly(0.5, 0.1, 0.2), 32)
-    assert np.all(np.diff(p.slopes) > 0.0)
+    assert np.all(np.diff(p.slopes) > 0.0) and p.convex
+    # stored once, read-only, and read by lambda_hat
+    assert p.slopes is p.slopes and not p.slopes.flags.writeable
+    np.testing.assert_array_equal(
+        p.slopes, np.diff(p.flux_values) / np.diff(p.nodes))
+    assert p.lambda_hat == np.max(np.abs(p.slopes))
+    # one segment is convex; equal or falling neighbouring slopes are not
+    assert PiecewiseLinearFlux([0.0, 1.0], [0.0, 2.0]).convex
+    assert not PiecewiseLinearFlux([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).convex
+    assert not PiecewiseLinearFlux([0.0, 1.0, 2.0], [0.0, 1.0, 1.5]).convex
 
 
 def test_pl_flux_needs_two_nodes():

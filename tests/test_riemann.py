@@ -9,6 +9,8 @@ from fluxstab import (PiecewiseLinearFlux, Rarefaction, RiemannSampler,
                       hat_d_estimate, linear_flux, pl_sample, riemann_l1_diff,
                       scaled_burgers, solve_riemann, tilted_burgers,
                       validate_fan)
+from fluxstab import riemann
+from fluxstab.riemann import RiemannFan, _lower_hull
 
 
 def test_burgers_shock():
@@ -112,6 +114,96 @@ def test_data_outside_k_rejected():
         solve_riemann(pl_sample(burgers(), 4), 0.0, 1.5)
 
 
+def test_validate_fan_checks_table_chords_at_the_nodes():
+    # slopes 1 and 1 + 1e-9: rising data 0 -> 2 need a front per segment,
+    # and a lone chord passes 5e-10 above the middle node; so does a chord
+    # over falling data 2 -> 0 once the slopes are swapped
+    for values, uL, uR in [([0.0, 1.0, 2.0 + 1e-9], 0.0, 2.0),
+                           ([0.0, 1.0 + 1e-9, 2.0 + 1e-9], 2.0, 0.0)]:
+        flux = PiecewiseLinearFlux([0.0, 1.0, 2.0], values)
+        validate_fan(solve_riemann(flux, uL, uR), flux)
+        chord = (values[2] - values[0]) / 2.0
+        forged = RiemannFan(uL, uR, (Shock(chord, uL, uR),))
+        with pytest.raises(AssertionError, match="inadmissible"):
+            validate_fan(forged, flux)
+
+
+def _hull_waves(flux, uL, uR):
+    """The envelope fan of a node table built as a hull, for any table."""
+    a, b = (uL, uR) if uL < uR else (uR, uL)
+    nodes = flux.nodes
+    us = np.concatenate([[a], nodes[(nodes > a) & (nodes < b)], [b]])
+    fs = flux(us)
+    # falling data run down the upper hull, so speeds come out increasing
+    hull = _lower_hull(us, fs) if uL < uR else _lower_hull(us, -fs)[::-1]
+    return [Shock(float((fs[r] - fs[l]) / (us[r] - us[l])), float(us[l]),
+                  float(us[r])) for l, r in zip(hull[:-1], hull[1:])]
+
+
+def _convex_tables():
+    """Random strictly convex tables with 200 jumps each, then every
+    bundled sample at 128 and 512 segments with 50 (the hull is slow)."""
+    rng = np.random.default_rng(5)
+    for _ in range(70):
+        n = int(rng.integers(1, 60))
+        nodes = np.sort(rng.uniform(-1.0, 1.0, n + 1))
+        slopes = np.sort(rng.normal(size=n))
+        values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(nodes))])
+        yield PiecewiseLinearFlux(nodes, values), 200
+    for segments in (128, 512):
+        for entry in bundled_pairs(segments=segments):
+            if entry["name"] != "linear-pair":
+                yield entry["f"], 50
+                yield entry["g"], 50
+
+
+def test_slice_waves_equal_hull_waves():
+    rng = np.random.default_rng(6)
+    for flux, n_jumps in _convex_tables():
+        assert flux.convex
+        data = rng.uniform(*flux.K, size=(n_jumps, 2))
+        # a tenth of the jumps run from node to node
+        data[:n_jumps // 10] = rng.choice(flux.nodes, size=(n_jumps // 10, 2))
+        got, want = [], []
+        for uL, uR in data[data[:, 0] != data[:, 1]]:
+            got.append(solve_riemann(flux, uL, uR).waves)
+            want.append(_hull_waves(flux, uL, uR))
+        assert [len(w) for w in got] == [len(w) for w in want]
+        got, want = (np.array([(w.left, w.right, w.speed) for fan in fans
+                               for w in fan]) for fans in (got, want))
+        np.testing.assert_array_equal(got[:, :2], want[:, :2])
+        np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-15)
+
+
+def test_equal_slopes_keep_the_hull_and_merge():
+    # dyadic values, so the repeated slopes are exact and the nodes on
+    # them exactly collinear
+    lin = pl_sample(linear_flux(0.25), 8)
+    kinked = PiecewiseLinearFlux([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 2.0])
+    assert not lin.convex and not kinked.convex
+    for uL, uR in [(-1.0, 1.0), (1.0, -1.0), (-0.6, 0.9), (0.9, -0.6)]:
+        fan = solve_riemann(lin, uL, uR)
+        assert fan.waves == (Shock(0.25, uL, uR),)
+    for uL, uR in [(1.0, 3.0), (1.5, 2.5), (3.0, 0.0)]:
+        fan = solve_riemann(kinked, uL, uR)
+        assert len(fan.waves) == 1
+        validate_fan(fan, kinked)
+    # the merged node 2 is no state of the fan over both kinks
+    fan = solve_riemann(kinked, 0.0, 3.0)
+    assert [(w.left, w.right) for w in fan.waves] == [(0.0, 1.0), (1.0, 3.0)]
+    # 0.3 u sampled on eighths is collinear only up to rounding: its
+    # slopes wobble by an ulp, so the table is not convex and the hull
+    # keeps any rounding kink it sees, at speeds within 2 ulp of 0.3
+    wobbly = pl_sample(linear_flux(0.3), 8)
+    assert not wobbly.convex
+    for uL in wobbly.nodes:
+        for uR in wobbly.nodes[wobbly.nodes != uL]:
+            fan = solve_riemann(wobbly, uL, uR)
+            validate_fan(fan, wobbly)
+            np.testing.assert_allclose([w.speed for w in fan.waves], 0.3,
+                                       rtol=4e-16)
+
+
 # -- fan-vs-fan distance --------------------------------------------------------
 
 def test_l1_diff_linear_pair_closed_form():
@@ -179,6 +271,53 @@ def test_l1_diff_mixed_smooth_and_sampled_pair():
                          for lo, hi in zip(edges[:-1], edges[1:]))
         got = riemann_l1_diff(f, g, uL, uR, 1.5)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("entry", [e for e in bundled_pairs(segments=128)
+                                   if e["name"] != "linear-pair"],
+                         ids=lambda e: e["name"])
+def test_l1_diff_convex_tables_match_closed_forms(entry):
+    f, g = entry["f"], entry["g"]
+    assert f.convex and g.convex and np.array_equal(f.nodes, g.nodes)
+    rng = np.random.default_rng(23)
+    # floor: the gap is a difference of rounded slopes and interpolated
+    # values of size about max |f| + lambda_hat |jump|, so where it is
+    # small next to them no float sum is closer than a few ulp of that
+    size = max(np.max(np.abs(f.flux_values)), np.max(np.abs(g.flux_values)))
+    lam = max(f.lambda_hat, g.lambda_hat)
+    for uL, uR in rng.uniform(-1.0, 1.0, size=(200, 2)):
+        t = rng.uniform(0.5, 2.0)
+        if uL < uR:
+            # both fans follow their tables: the integral of |f' - g'|
+            lo = np.clip(f.nodes[:-1], uL, uR)
+            hi = np.clip(f.nodes[1:], uL, uR)
+            want = t * np.sum(np.abs(f.slopes - g.slopes) * (hi - lo))
+        else:
+            # both fans are one chord: |Delta (f - g)|
+            want = t * abs((f(uL) - g(uL)) - (f(uR) - g(uR)))
+        floor = 1e-15 * t * (size + lam * abs(uR - uL))
+        assert riemann_l1_diff(f, g, uL, uR, t) == pytest.approx(
+            want, rel=1e-13, abs=floor)
+
+
+def test_l1_diff_slices_only_two_convex_tables(monkeypatch):
+    solves = []
+    solve = riemann.solve_riemann
+    monkeypatch.setattr(riemann, "solve_riemann",
+                        lambda *args: solves.append(args) or solve(*args))
+    f, g = pl_sample(burgers(), 16), pl_sample(scaled_burgers(1.5), 16)
+    nonconvex = PiecewiseLinearFlux(f.nodes, np.cos(3.0 * f.nodes))
+    for uL, uR in [(-0.3, 0.8), (0.8, -0.3)]:
+        riemann_l1_diff(f, g, uL, uR)
+        assert solves == []
+        for other in (nonconvex, burgers()):
+            riemann_l1_diff(f, other, uL, uR)
+            riemann_l1_diff(other, f, uL, uR)
+            assert len(solves) == 4
+            solves.clear()
+    for uL, uR in [(0.0, 1.5), (-1.5, 0.0), (1.5, 0.0), (0.0, -1.5)]:
+        with pytest.raises(ValueError):
+            riemann_l1_diff(f, g, uL, uR)
 
 
 def test_l1_diff_zero_for_equal_data():
