@@ -1,5 +1,7 @@
 """Momentum systems: velocity recovery, flux gaps, finite-volume evolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -8,7 +10,7 @@ from fluxstab import (AdmissibilityError, classical_euler,
                       classical_limit_experiment, fv_evolve, jacobian_gap,
                       l1_state_distance, phi_factor, recover_velocity,
                       relativistic_euler, riemann_grid)
-from fluxstab.euler import DEFAULT_EULER_BOX
+from fluxstab.euler import DEFAULT_EULER_BOX, GridSolution
 
 
 def _fd_jacobian(flux, U, h0=1e-5):
@@ -288,3 +290,171 @@ def test_jacobian_gap_quarter_ratio():
     g100 = jacobian_gap(100.0, n_grid=128)
     assert g50 > g100 > 0.0
     assert 0.23 <= g100 / g50 <= 0.27
+
+
+@pytest.mark.parametrize("c", [1.5, 8.0, 50.0, 400.0])
+def test_jacobian_gap_is_the_rank_one_norm(c):
+    pts = _box_points(64)
+    J_rel, J_cl = relativistic_euler(c).jacobian(pts), classical_euler().jacobian(pts)
+    np.testing.assert_array_equal(J_rel[:, 0], J_cl[:, 0])
+    want = float(np.max(np.linalg.norm(J_rel - J_cl, 2, axis=(1, 2))))
+    assert jacobian_gap(c, n_grid=64) == pytest.approx(want, rel=1e-15)
+
+
+# -- the finite-volume loop against its plain form ---------------------------------
+
+def _reference_fv_evolve(system, U0, a, b, N, T, cfl=0.45,
+                         lambda_override=None, rho_floor=1e-2):
+    """Reference: a padded copy per step and a cellwise scan per step."""
+    if T < 0.0:
+        raise ValueError("T must be nonnegative")
+    if N < 2:
+        raise ValueError("need at least two cells")
+    lam = float(lambda_override if lambda_override is not None
+                else system.lambda_hat)
+    if lam <= 0.0:
+        raise ValueError("wave speed bound must be positive")
+    dx = (b - a) / N
+    xs = a + (np.arange(N) + 0.5) * dx
+    if callable(U0):
+        U = np.array([np.asarray(U0(float(x)), dtype=float) for x in xs])
+    else:
+        U = np.array(U0, dtype=float)
+    if U.shape != (N, 2):
+        raise ValueError(f"datum shape {U.shape} does not match grid ({N}, 2)")
+
+    def check(U: np.ndarray, t: float) -> None:
+        bad = ~np.isfinite(U).all(axis=1) | (U[:, 0] <= rho_floor)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise AdmissibilityError(
+                f"state left admissible region at t={t:.6g}, cell {i}: "
+                f"U={U[i]}")
+
+    check(U, 0.0)
+    dt_full = cfl * dx / lam
+    t = 0.0
+    n_steps = 0
+    boundary_flux = np.zeros(2)
+    totals0 = U.sum(axis=0) * dx
+    while t < T - 1e-14 * max(T, 1.0):
+        dt = min(dt_full, T - t)
+        Ug = np.vstack([U[:1], U, U[-1:]])  # outflow ghosts
+        F = system.flux(Ug)
+        F_face = 0.5 * (F[:-1] + F[1:]) - 0.5 * lam * (Ug[1:] - Ug[:-1])
+        U = U - (dt / dx) * (F_face[1:] - F_face[:-1])
+        boundary_flux += dt * (F_face[0] - F_face[-1])
+        t += dt
+        n_steps += 1
+        check(U, t)
+    residual = U.sum(axis=0) * dx - totals0 - boundary_flux
+    return GridSolution(xs=xs, U=U, time=t, dx=dx, n_steps=n_steps,
+                        conservation_residual=residual)
+
+
+def _assert_same_run(got, want):
+    np.testing.assert_array_equal(got.xs, want.xs)
+    np.testing.assert_array_equal(got.U, want.U)
+    assert got.n_steps == want.n_steps
+    assert got.time == want.time
+    assert got.dx == want.dx
+    np.testing.assert_array_equal(got.conservation_residual,
+                                  want.conservation_residual)
+
+
+def _wavy_datum(N):
+    x = np.linspace(0.0, 1.0, N)
+    return np.column_stack([2.0 + 0.5 * np.sin(7.0 * x), 0.4 * np.cos(3.0 * x)])
+
+
+_SHARED_LAM = max(s.lambda_hat for s in (classical_euler(),
+                                         relativistic_euler(8.0),
+                                         relativistic_euler(64.0)))
+
+
+@pytest.mark.parametrize("system", [classical_euler(), relativistic_euler(8.0),
+                                    relativistic_euler(64.0)],
+                         ids=["classical", "c=8", "c=64"])
+@pytest.mark.parametrize("datum, N, T", [
+    (riemann_grid((2.0, 0.0), (1.0, 0.0)), 400, 0.2),
+    (_wavy_datum(401), 401, 0.137),  # odd N, array datum, truncated step
+])
+def test_fv_evolve_matches_reference_loop(system, datum, N, T):
+    for lam in (_SHARED_LAM, None):
+        got = fv_evolve(system, datum, -1.0, 1.0, N, T, lambda_override=lam)
+        want = _reference_fv_evolve(system, datum, -1.0, 1.0, N, T,
+                                    lambda_override=lam)
+        _assert_same_run(got, want)
+        assert got.time == T
+
+
+def test_fv_evolve_truncates_the_last_step():
+    cl = classical_euler()
+    sol = fv_evolve(cl, _wavy_datum(401), -1.0, 1.0, 401, 0.137)
+    dt_full = 0.45 * sol.dx / cl.lambda_hat
+    assert (sol.n_steps - 1) * dt_full < 0.137 < sol.n_steps * dt_full
+
+
+def test_limit_experiment_gaps_match_reference_loop():
+    res = classical_limit_experiment([8.0, 16.0, 32.0], N=400)
+    classical = classical_euler()
+    systems = [relativistic_euler(c) for c in (8.0, 16.0, 32.0)]
+    lam = max(s.lambda_hat for s in [classical] + systems)
+    datum = riemann_grid((2.0, 0.0), (1.0, 0.0))
+    ref = _reference_fv_evolve(classical, datum, -1.0, 1.0, 400, 0.2,
+                               lambda_override=lam)
+    want = [l1_state_distance(_reference_fv_evolve(
+        s, datum, -1.0, 1.0, 400, 0.2, lambda_override=lam), ref)
+        for s in systems]
+    np.testing.assert_array_equal(res.gaps, want)
+    assert res.lambda_shared == lam
+
+
+# -- admissibility on adversarial states ----------------------------------------------
+
+def _both_raise(system, U0, T):
+    with pytest.raises(AdmissibilityError) as got:
+        fv_evolve(system, U0, -1.0, 1.0, U0.shape[0], T)
+    with pytest.raises(AdmissibilityError) as want:
+        _reference_fv_evolve(system, U0, -1.0, 1.0, U0.shape[0], T)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def test_density_at_the_floor_names_its_cell():
+    U0 = np.tile([1.5, 0.0], (64, 1))
+    U0[17, 0] = 1e-2  # exactly rho_floor
+    message = _both_raise(classical_euler(), U0, 0.1)
+    assert "t=0, cell 17:" in message
+
+
+def test_non_finite_momentum_mid_run_raises_as_reference():
+    # the momentum flux of one cell turns infinite once the shock has
+    # raised its density; the density stays finite for that step, so only
+    # the sum over all entries can see the bad momenta
+    classical = classical_euler()
+    row = 40  # cell 39 of the padded array; cell 38 goes bad first
+
+    def flux(U):
+        F = classical.flux(U)
+        if U[row, 0] > 1.2:
+            F[row, 1] = np.inf
+        return F
+
+    system = dataclasses.replace(classical, flux=flux)
+    U0 = np.array([riemann_grid((2.0, 0.0), (1.0, 0.0))(x)
+                   for x in -1.0 + (np.arange(64) + 0.5) * (2.0 / 64)])
+    with np.errstate(invalid="ignore"):
+        message = _both_raise(system, U0, 0.5)
+    assert "t=0," not in message
+    assert "cell 38:" in message and message.endswith("-inf]")
+
+
+def test_overflowing_sum_of_finite_states_does_not_raise():
+    U0 = np.tile([1.5, 0.0], (8, 1))
+    U0[[2, 5], 1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = fv_evolve(classical_euler(), U0, -1.0, 1.0, 8, 0.0)
+        want = _reference_fv_evolve(classical_euler(), U0, -1.0, 1.0, 8, 0.0)
+    _assert_same_run(got, want)
+    np.testing.assert_array_equal(got.U, U0)
