@@ -114,9 +114,11 @@ def _momentum_system(name: str, H, dH, K, sigma: float,
         raise ValueError("density box must stay positive")
 
     def flux(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         rho, q = U[:, 0], U[:, 1]
-        return np.column_stack([q, rho * H(q / rho)])
+        F = np.empty((U.shape[0], 2))
+        F[:, 0] = q
+        F[:, 1] = rho * H(q / rho)
+        return F
 
     def jacobian(U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))

@@ -169,7 +169,7 @@ class ScalarFlux:
             a = np.where(g < 0.0, u, a)
             b = np.where(g > 0.0, u, b)
             u_new = u - g / np.maximum(self.d2f(u), self.kappa)
-            bad = (u_new <= a) | (u_new >= b)
+            bad = (u_new < a) | (u_new > b)
             u_new = np.where(bad, 0.5 * (a + b), u_new)
             done = np.all(np.abs(u_new - u) <= u_tol)
             u = u_new

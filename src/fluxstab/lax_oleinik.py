@@ -373,16 +373,41 @@ class TvBoundReport:
     n_grid: int
 
 
+def _dyadic_refinement(sample, lo: float, hi: float, measure,
+                       rtol: float, n_max: int) -> tuple[float, int]:
+    """A grid functional of ``sample`` on nested dyadic grids of ``[lo, hi]``.
+
+    Starts at 2^10 panels and doubles, sampling only the new midpoints,
+    until ``measure(vals, xs)`` changes by at most ``rtol`` relative or
+    the grid reaches ``n_max`` panels; returns the last value and panels.
+    """
+    n = 2 ** 10
+    xs = np.linspace(lo, hi, n + 1)
+    vals = sample(xs)
+    value = measure(vals, xs)
+    while n < n_max:
+        merged = np.empty(2 * n + 1)
+        merged[0::2] = vals
+        merged[1::2] = sample(0.5 * (xs[:-1] + xs[1:]))
+        xs = np.linspace(lo, hi, 2 * n + 1)
+        vals = merged
+        n *= 2
+        new = measure(vals, xs)
+        done = abs(new - value) <= rtol * max(abs(new), 1e-12)
+        value = new
+        if done:
+            break
+    return value, n
+
+
 def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
-                           a: float, b: float,
-                           rtol: float = 1e-3, n0: int = 2 ** 10,
-                           n_max: int = 2 ** 14) -> TvBoundReport:
+                           a: float, b: float) -> TvBoundReport:
     """Grid total variation of the solution against the decay bound.
 
     The solution is sampled on dyadic grids over the enlarged window
     ``[a - 2 lambda_hat t, b + 2 lambda_hat t]``; grid TV sums increase
     under refinement and converge to the true TV, so refinement stops once
-    the gain drops below ``rtol``.  The bound is
+    the gain drops to 1e-3 relative, or at 2^14 panels.  The bound is
     ``2 diam(K) (b - a + 4 lambda_hat t) / (kappa t)``.
     """
     flux = problem.flux
@@ -390,23 +415,9 @@ def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
         raise ValueError("bound needs kappa > 0")
     lam = flux.lambda_hat
     lo, hi = a - 2.0 * lam * t, b + 2.0 * lam * t
-    n = n0
-    xs = np.linspace(lo, hi, n + 1)
-    vals = lax_oleinik_eval_many(problem, t, xs)
-    tv = float(np.sum(np.abs(np.diff(vals))))
-    while n < n_max:
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        mvals = lax_oleinik_eval_many(problem, t, mids)
-        merged = np.empty(2 * n + 1)
-        merged[0::2] = vals
-        merged[1::2] = mvals
-        xs = np.linspace(lo, hi, 2 * n + 1)
-        vals = merged
-        n *= 2
-        tv_new = float(np.sum(np.abs(np.diff(vals))))
-        gain, tv = tv_new - tv, tv_new
-        if gain <= rtol * max(tv, 1e-12):
-            break
+    tv, n = _dyadic_refinement(
+        lambda x: lax_oleinik_eval_many(problem, t, x), lo, hi,
+        lambda vals, xs: float(np.sum(np.abs(np.diff(vals)))), 1e-3, 2 ** 14)
     bound = 2.0 * flux.diam_K * (b - a + 4.0 * lam * t) / (flux.kappa * t)
     holds = tv <= bound * (1.0 + 1e-9) + 1e-9
     return TvBoundReport(tv=tv, bound=bound, holds=holds,
@@ -423,13 +434,12 @@ class LinftyBoundReport:
 
 
 def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
-                       t: float, a: float, b: float,
-                       rtol: float = 1e-6, n0: int = 2 ** 10,
-                       n_max: int = 2 ** 15) -> LinftyBoundReport:
+                       t: float, a: float, b: float) -> LinftyBoundReport:
     """Windowed L1 gap between two evolutions against the a-priori bound.
 
-    lhs integrates ``|u - w|`` over ``[a, b]`` with nested trapezoid
-    refinement reusing all evaluations; rhs is the literal product
+    lhs integrates ``|u - w|`` over ``[a, b]`` by the trapezoid rule on
+    nested dyadic grids, to 1e-6 relative or 2^15 panels; rhs is the
+    literal product
 
         2 diam(K) t ((b - a + 4 lambda_hat t) / (kappa t)) max_K |f' - g'|
 
@@ -450,24 +460,8 @@ def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
         return np.abs(lax_oleinik_eval_many(pf, t, x)
                       - lax_oleinik_eval_many(pg, t, x))
 
-    n = n0
-    xs = np.linspace(a, b, n + 1)
-    vals = gap_at(xs)
-    lhs = float(_trapz(vals, xs))
-    while n < n_max:
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        mvals = gap_at(mids)
-        merged = np.empty(2 * n + 1)
-        merged[0::2] = vals
-        merged[1::2] = mvals
-        xs = np.linspace(a, b, 2 * n + 1)
-        vals = merged
-        n *= 2
-        lhs_new = float(_trapz(vals, xs))
-        done = abs(lhs_new - lhs) <= rtol * max(abs(lhs_new), 1e-12)
-        lhs = lhs_new
-        if done:
-            break
+    lhs, n = _dyadic_refinement(
+        gap_at, a, b, lambda vals, xs: float(_trapz(vals, xs)), 1e-6, 2 ** 15)
     diam = flux_f.K[1] - flux_f.K[0]
     rhs = 2.0 * diam * t * ((b - a + 4.0 * lam * t) / (kappa * t)) * deriv_gap
     holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
@@ -485,12 +479,11 @@ class OslReport:
 
 def one_sided_lipschitz_check(problem: LaxOleinikProblem, t: float,
                               a: float, b: float, n_pairs: int = 10 ** 4,
-                              seed: int = 0,
-                              slack: float | None = None) -> OslReport:
+                              seed: int = 0) -> OslReport:
     """Sampled check of ``u(x2) - u(x1) <= (x2 - x1) / (kappa t)``.
 
-    The slack absorbs rounding in the evaluated values; any violation
-    beyond it is reported.
+    The slack ``1e-6 (1 + 1 / (kappa t))`` absorbs rounding in the
+    evaluated values; any violation beyond it is reported.
     """
     flux = problem.flux
     if flux.kappa <= 0.0:
@@ -502,12 +495,11 @@ def one_sided_lipschitz_check(problem: LaxOleinikProblem, t: float,
     x1, x2 = x1[keep], x2[keep]
     vals = lax_oleinik_eval_many(problem, t, np.concatenate([x1, x2]))
     u1, u2 = vals[:x1.size], vals[x1.size:]
-    if slack is None:
-        slack = 1e-6 * (1.0 + 1.0 / (flux.kappa * t))
+    slack = 1e-6 * (1.0 + 1.0 / (flux.kappa * t))
     excess = (u2 - u1) - (x2 - x1) / (flux.kappa * t)
     return OslReport(
         violations=int(np.sum(excess > slack)),
         max_excess=float(np.max(excess)) if excess.size else 0.0,
         n_pairs=int(x1.size),
-        slack=float(slack),
+        slack=slack,
     )

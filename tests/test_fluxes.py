@@ -110,6 +110,25 @@ def test_convex_poly_df_inv_matches_full_sweeps(flux):
     assert float(flux.df_inv(s[1000])) == pytest.approx(u[1000], abs=1e-15)
 
 
+@pytest.mark.parametrize("grid", ["states", "slopes"])
+def test_convex_poly_df_inv_batch_converges_in_few_sweeps(grid, monkeypatch):
+    # a Newton step that lands on the bracket end it has just set is a
+    # converged lane; bisecting it away stalls the whole batch
+    flux = convex_poly(0.5, 0.0, 0.25)
+    lo, hi = flux.K
+    if grid == "states":
+        s = flux.df(np.linspace(lo, hi, 4097))
+    else:
+        s = np.linspace(flux.df(lo), flux.df(hi), 4097)
+    sweeps = []
+    d2f = ScalarFlux.d2f
+    monkeypatch.setattr(ScalarFlux, "d2f",
+                        lambda self, u: sweeps.append(1) or d2f(self, u))
+    u = flux.df_inv(s)
+    assert len(sweeps) <= 12
+    assert np.max(np.abs(flux.df(u) - s)) <= 1e-12
+
+
 @pytest.mark.parametrize("flux", [convex_poly(0.5, 0.0, 0.25),
                                   convex_poly(0.5, 0.1, 0.0, (-1.0, 2.0))],
                          ids=lambda f: f.name + str(f.K))

@@ -9,6 +9,8 @@ from fluxstab import (PiecewiseConstantFn, PiecewiseLinearFlux,
                       ft_evolve, lerrest_diagnostic, linear_flux, pl_sample,
                       scaled_burgers, stability_suite, sup_location,
                       tilted_burgers)
+from fluxstab.linear_hd import hat_d_lin
+from fluxstab.metrics import _slopes_at
 from fluxstab.riemann import FluxDistanceReport
 
 
@@ -190,11 +192,37 @@ def test_report_rows_round_trip():
     assert "demo" in rep.summary() and "ok" in rep.summary()
 
 
-def test_stability_suite_runs_every_pair():
+def _reference_sup_lin(f, g):
+    # the suite's former loop: one 1x1 hat_d_lin per cell midpoint of K
+    grid = np.linspace(f.K[0], f.K[1], 257)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    return max(hat_d_lin(np.asarray([[a]]), np.asarray([[b]])).value
+               for a, b in zip(_slopes_at(f, mids), _slopes_at(g, mids)))
+
+
+@pytest.mark.parametrize("segments", [64, 100])
+def test_stability_suite_runs_every_pair(segments):
+    # at 100 segments the 256 midpoints fall off the node grid's pattern
     sampler = RiemannSampler(n_grid=16, n_near=16)
-    reports = stability_suite(segments=64, T=0.5, sampler=sampler)
-    assert [r.pair for r in reports] == [p["name"] for p in bundled_pairs()]
-    for r in reports:
+    reports = stability_suite(segments=segments, T=0.5, sampler=sampler)
+    pairs = bundled_pairs(segments=segments)
+    assert [r.pair for r in reports] == [p["name"] for p in pairs]
+    stair = PiecewiseConstantFn.from_steps(
+        0.0, [(-0.5, 0.8), (0.0, -0.6), (0.75, 0.0)])
+    for r, entry in zip(reports, pairs):
+        f, g = entry["f"], entry["g"]
+        pg = check_pgeneral(f, g, sampler)
+        tm = [(name, check_tmain(f, g, u0, 0.5))
+              for name, u0 in (("pulse", pulse()), ("stair", stair))]
+        assert r == StabilityReport(
+            pair=entry["name"],
+            hat_d_estimate=pg.estimate,
+            sup_hatd_lin=float(_reference_sup_lin(f, g)),
+            c0_derivative_gap=pg.deriv_sup,
+            semigroup_gaps=tuple((name, 0.5, rep.lhs, rep.tv_time_integral)
+                                 for name, rep in tm),
+            pgeneral_holds=pg.holds,
+            tmain_holds=all(rep.holds for _, rep in tm))
         assert r.pgeneral_holds and r.tmain_holds
         assert r.hat_d_estimate >= 0.0
         assert r.sup_hatd_lin >= 0.0

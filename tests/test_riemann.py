@@ -1,6 +1,7 @@
 """Single-jump solver: fans, admissibility, the sampled flux distance."""
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from fluxstab import (PiecewiseLinearFlux, Rarefaction, RiemannSampler,
@@ -126,6 +127,23 @@ def test_validate_fan_checks_table_chords_at_the_nodes():
         forged = RiemannFan(uL, uR, (Shock(chord, uL, uR),))
         with pytest.raises(AssertionError, match="inadmissible"):
             validate_fan(forged, flux)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_validate_fan_checks_polynomial_chords_exactly(sign):
+    # f(w) = 0.3 w + (w - 0.8)(w + 0.8)((w - 0.1)^2 + sign 0.02^2): every
+    # chord from 0.8 to w has slope 0.3 + (w + 0.8)((w - 0.1)^2 + sign
+    # 0.02^2), so with sign -1 the chord shock 0.8 -> -0.8 is inadmissible
+    # only on (0.08, 0.12), between any coarse sample of the jump
+    c = P.polyadd(P.polymul([-0.64, 0.0, 1.0],
+                            [0.01 + sign * 0.02 ** 2, -0.2, 1.0]), [0.0, 0.3])
+    flux = ScalarFlux("forged", tuple(c), (-1.0, 1.0))
+    fan = RiemannFan(0.8, -0.8, (Shock(0.3, 0.8, -0.8),))
+    if sign > 0.0:
+        validate_fan(fan, flux)
+    else:
+        with pytest.raises(AssertionError, match="inadmissible"):
+            validate_fan(fan, flux)
 
 
 def _hull_waves(flux, uL, uR):
