@@ -37,9 +37,9 @@ _RUNTIME_ERRORS = (AdmissibilityError, FrontTrackingError,
 def _cfg_from(args) -> dict[str, str]:
     cfg = load_config(args.config) if args.config else {}
     # flags sit between the file and explicit key=value overrides
-    if getattr(args, "out", None):
+    if args.out:
         cfg["out"] = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = str(args.seed)
     return apply_overrides(cfg, args.overrides)
 
@@ -200,10 +200,7 @@ def cmd_linfty(args) -> int:
         a=get_value(cfg, "a", float),
         b=get_value(cfg, "b", float),
     )
-    verdict = "PASS" if report.holds else "FAIL"
-    print(f"[{verdict}] linfty: lhs={report.lhs!r} <= rhs={report.rhs!r} "
-          f"(max deriv gap {report.deriv_gap!r}, {report.n_grid} panels)")
-    return 0 if report.holds else 1
+    return _finish([report])
 
 
 def cmd_oleinik_tv(args) -> int:
@@ -217,10 +214,7 @@ def cmd_oleinik_tv(args) -> int:
         a=get_value(cfg, "a", float),
         b=get_value(cfg, "b", float),
     )
-    verdict = "PASS" if report.holds else "FAIL"
-    print(f"[{verdict}] oleinik-tv: tv={report.tv!r} <= bound={report.bound!r} "
-          f"on window {report.window}")
-    return 0 if report.holds else 1
+    return _finish([report])
 
 
 def cmd_osl(args) -> int:
@@ -236,12 +230,7 @@ def cmd_osl(args) -> int:
         n_pairs=get_value(cfg, "n_pairs", int, 10 ** 4),
         seed=get_value(cfg, "seed", int, 0),
     )
-    holds = report.violations == 0
-    verdict = "PASS" if holds else "FAIL"
-    print(f"[{verdict}] osl: {report.violations} violations in "
-          f"{report.n_pairs} pairs (max excess {report.max_excess!r}, "
-          f"slack {report.slack!r})")
-    return 0 if holds else 1
+    return _finish([report])
 
 
 def cmd_rexp(args) -> int:
@@ -399,22 +388,28 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the command, then flags and
+    ``key=value`` overrides in any order."""
     parser = argparse.ArgumentParser(
         prog="fluxstab",
-        description="flux-stability experiments for conservation laws")
+        description="flux-stability experiments for conservation laws",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<17}{help_text}"
+            for name, (_, help_text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"fluxstab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None,
-                       help="config file with key = value lines")
-        p.add_argument("--out", default=None, help="artifact directory")
-        p.add_argument("--seed", default=None, type=int,
-                       help="seed for randomized sampling")
-        p.add_argument("overrides", nargs="*", metavar="key=value",
-                       help="override config values")
-        p.set_defaults(func=func)
+    parser.add_argument("--list", action="store_true",
+                        help="print flux and datum spec grammars")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", default=None,
+                        help="config file with key = value lines")
+    parser.add_argument("--out", default=None, help="artifact directory")
+    parser.add_argument("--seed", default=None, type=int,
+                        help="seed for randomized sampling")
+    parser.add_argument("overrides", nargs="*", default=[],
+                        metavar="key=value", help="override config values")
     return parser
 
 
@@ -422,9 +417,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if "--list" in argv:
         return cmd_list(None)
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except _RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -371,20 +371,29 @@ class TvBoundReport:
     holds: bool
     window: tuple[float, float]
     n_grid: int
+    converged: bool
+
+    def line(self) -> str:
+        verdict = "PASS" if self.holds else "FAIL"
+        budget = "" if self.converged else ", budget reached"
+        return (f"[{verdict}] oleinik-tv: tv={self.tv!r} "
+                f"<= bound={self.bound!r} on window {self.window}{budget}")
 
 
 def _dyadic_refinement(sample, lo: float, hi: float, measure,
-                       rtol: float, n_max: int) -> tuple[float, int]:
+                       rtol: float, n_max: int) -> tuple[float, int, bool]:
     """A grid functional of ``sample`` on nested dyadic grids of ``[lo, hi]``.
 
     Starts at 2^10 panels and doubles, sampling only the new midpoints,
     until ``measure(vals, xs)`` changes by at most ``rtol`` relative or
-    the grid reaches ``n_max`` panels; returns the last value and panels.
+    the grid reaches ``n_max`` panels; returns the last value, the panels
+    and whether the last doubling met ``rtol``.
     """
     n = 2 ** 10
     xs = np.linspace(lo, hi, n + 1)
     vals = sample(xs)
     value = measure(vals, xs)
+    done = False
     while n < n_max:
         merged = np.empty(2 * n + 1)
         merged[0::2] = vals
@@ -397,7 +406,7 @@ def _dyadic_refinement(sample, lo: float, hi: float, measure,
         value = new
         if done:
             break
-    return value, n
+    return value, n, done
 
 
 def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
@@ -407,7 +416,8 @@ def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
     The solution is sampled on dyadic grids over the enlarged window
     ``[a - 2 lambda_hat t, b + 2 lambda_hat t]``; grid TV sums increase
     under refinement and converge to the true TV, so refinement stops once
-    the gain drops to 1e-3 relative, or at 2^14 panels.  The bound is
+    the gain drops to 1e-3 relative, or at 2^14 panels (``converged``
+    says which).  The bound is
     ``2 diam(K) (b - a + 4 lambda_hat t) / (kappa t)``.
     """
     flux = problem.flux
@@ -415,13 +425,13 @@ def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
         raise ValueError("bound needs kappa > 0")
     lam = flux.lambda_hat
     lo, hi = a - 2.0 * lam * t, b + 2.0 * lam * t
-    tv, n = _dyadic_refinement(
+    tv, n, converged = _dyadic_refinement(
         lambda x: lax_oleinik_eval_many(problem, t, x), lo, hi,
         lambda vals, xs: float(np.sum(np.abs(np.diff(vals)))), 1e-3, 2 ** 14)
     bound = 2.0 * flux.diam_K * (b - a + 4.0 * lam * t) / (flux.kappa * t)
     holds = tv <= bound * (1.0 + 1e-9) + 1e-9
     return TvBoundReport(tv=tv, bound=bound, holds=holds,
-                         window=(lo, hi), n_grid=n)
+                         window=(lo, hi), n_grid=n, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -431,6 +441,14 @@ class LinftyBoundReport:
     deriv_gap: float
     holds: bool
     n_grid: int
+    converged: bool
+
+    def line(self) -> str:
+        verdict = "PASS" if self.holds else "FAIL"
+        budget = "" if self.converged else ", budget reached"
+        return (f"[{verdict}] linfty: lhs={self.lhs!r} <= rhs={self.rhs!r} "
+                f"(max deriv gap {self.deriv_gap!r}, {self.n_grid} panels"
+                f"{budget})")
 
 
 def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
@@ -438,7 +456,8 @@ def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
     """Windowed L1 gap between two evolutions against the a-priori bound.
 
     lhs integrates ``|u - w|`` over ``[a, b]`` by the trapezoid rule on
-    nested dyadic grids, to 1e-6 relative or 2^15 panels; rhs is the
+    nested dyadic grids, to 1e-6 relative or 2^15 panels (``converged``
+    says which); rhs is the
     literal product
 
         2 diam(K) t ((b - a + 4 lambda_hat t) / (kappa t)) max_K |f' - g'|
@@ -460,13 +479,13 @@ def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
         return np.abs(lax_oleinik_eval_many(pf, t, x)
                       - lax_oleinik_eval_many(pg, t, x))
 
-    lhs, n = _dyadic_refinement(
+    lhs, n, converged = _dyadic_refinement(
         gap_at, a, b, lambda vals, xs: float(_trapz(vals, xs)), 1e-6, 2 ** 15)
     diam = flux_f.K[1] - flux_f.K[0]
     rhs = 2.0 * diam * t * ((b - a + 4.0 * lam * t) / (kappa * t)) * deriv_gap
     holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
     return LinftyBoundReport(lhs=lhs, rhs=rhs, deriv_gap=deriv_gap,
-                             holds=holds, n_grid=n)
+                             holds=holds, n_grid=n, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -475,6 +494,16 @@ class OslReport:
     max_excess: float
     n_pairs: int
     slack: float
+
+    @property
+    def holds(self) -> bool:
+        return self.violations == 0
+
+    def line(self) -> str:
+        verdict = "PASS" if self.holds else "FAIL"
+        return (f"[{verdict}] osl: {self.violations} violations in "
+                f"{self.n_pairs} pairs (max excess {self.max_excess!r}, "
+                f"slack {self.slack!r})")
 
 
 def one_sided_lipschitz_check(problem: LaxOleinikProblem, t: float,

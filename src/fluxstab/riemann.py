@@ -1,22 +1,24 @@
 """Exact Riemann solvers for scalar conservation laws and the flux distance.
 
-Three flux classes admit exact single-jump solutions here:
+Every fan is the envelope ``E`` of the flux on the jump interval, convex
+for increasing data and concave for decreasing data: a shock is a facet
+of ``E`` with its speed as slope, a rarefaction a stretch where
+``E = f``.  One routine, ``_envelope``, gives ``E'`` on the jump for the
+three flux classes solved exactly here:
 
 * polynomial fluxes that are uniformly convex (``kappa > 0``) or affine:
   a single shock, rarefaction or contact, by Lax admissibility;
-* convex node tables (segment slopes strictly increasing): the fan is
-  read off a slice of the table, one front per segment between the two
-  states at that segment's chord slope for increasing data, and one chord
-  shock for decreasing data;
-* any other piecewise-linear flux: a fan of admissible jumps obtained
-  from the convex (increasing data) or concave (decreasing data) envelope
-  of the node table between the two states, built as a hull.
+* convex node tables (segment slopes strictly increasing): a slice of
+  the table, one front per segment between the two states at that
+  segment's chord slope for increasing data, and one chord shock for
+  decreasing data;
+* any other piecewise-linear flux: the hull of the nodes between the two
+  states, a fan of admissible jumps.
 
-Either way the fan is the envelope ``E`` of the flux on the jump
-interval: a shock is a facet of ``E`` with its speed as slope, a
-rarefaction a stretch where ``E = f``.  The solution is monotone between
-the two states, so the L1 gap between two fans is the area between their
-inverse graphs, ``t * TV(E_f - E_g)``, a finite sum.
+``solve_riemann`` turns ``E'`` into waves.  The solution is monotone
+between the two states, so the L1 gap between two fans is the area
+between their inverse graphs, ``t * TV(E_f - E_g)``, a finite sum that
+``riemann_l1_diff`` reads off both envelopes without building a fan.
 
 On top of the solvers sits the normalized single-jump distance between two
 fluxes: the supremum over Riemann data of the time-1 L1 gap divided by the
@@ -32,7 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .fluxes import (MAX_DEGREE, PiecewiseLinearFlux, ScalarFlux, eval_rows,
-                     refine, roots_in_cells, slope_gap)
+                     refine, roots_in_cells, slope_gap, slope_pieces)
 
 __all__ = [
     "Shock",
@@ -105,9 +107,7 @@ class RiemannFan:
 
 
 def _rh_speed(flux: AnyFlux, uL: float, uR: float) -> float:
-    fL = float(flux(np.asarray(uL)) if isinstance(flux, ScalarFlux) else flux(uL))
-    fR = float(flux(np.asarray(uR)) if isinstance(flux, ScalarFlux) else flux(uR))
-    return (fR - fL) / (uR - uL)
+    return (float(flux(uR)) - float(flux(uL))) / (uR - uL)
 
 
 def _lower_hull(us: np.ndarray, fs: np.ndarray) -> list[int]:
@@ -127,59 +127,55 @@ def _lower_hull(us: np.ndarray, fs: np.ndarray) -> list[int]:
     return hull
 
 
-def _slice_fan(flux: PiecewiseLinearFlux, uL: float,
-               uR: float) -> tuple[np.ndarray, np.ndarray]:
-    """States and speeds of the fan of a convex table, data inside ``K``.
+def _envelope(flux: AnyFlux, uL: float,
+              uR: float) -> tuple[np.ndarray, np.ndarray]:
+    """``E'`` on the jump ``uL | uR``, the slope of the envelope ``E``.
 
-    The front at ``speeds[k]`` runs from ``states[k]`` to
-    ``states[k + 1]``.  Increasing data follow the table through the
-    nodes strictly inside the jump; decreasing data make one chord shock.
+    Returns the states ``x`` rising from ``min(uL, uR)`` that cut the jump
+    into cells, and on them either one shock speed per cell (a 1-d array)
+    or, for the rarefaction of a convex polynomial on its single cell, the
+    coefficients of ``f'`` as one ``(1, MAX_DEGREE)`` row.  Equal data
+    give one state and no cell.  A convex table inside ``K`` is read off
+    a slice: every node inside a rising jump, one chord for a falling
+    one.  Any other table takes the lower hull of its nodes inside the
+    jump (of ``-f`` for falling data), so collinear nodes merge.
     """
-    nodes = flux.nodes
-    if uL < uR:
-        inner = nodes[np.searchsorted(nodes, uL, side="right"):
-                      np.searchsorted(nodes, uR)]
-        states = np.concatenate(([uL], inner, [uR]))
+    uL, uR = float(uL), float(uR)
+    a, b = min(uL, uR), max(uL, uR)
+    lo, hi = flux.K
+    if not (lo - 1e-12 <= a and b <= hi + 1e-12):
+        raise ValueError(f"Riemann data outside K={flux.K}")
+    if uL == uR:
+        return np.array([uL]), np.empty(0)
+    if isinstance(flux, PiecewiseLinearFlux):
+        nodes = flux.nodes
+        sliced = flux.convex and lo <= a and b <= hi
+        if sliced and uL > uR:
+            us = np.array([a, b])
+        else:
+            inner = nodes[np.searchsorted(nodes, a, side="right"):
+                          np.searchsorted(nodes, b)]
+            us = np.concatenate(([a], inner, [b]))
+        fs = np.interp(us, nodes, flux.flux_values)
+        if not sliced:
+            hull = _lower_hull(us, fs if uL < uR else -fs)
+            us, fs = us[hull], fs[hull]
     else:
-        states = np.array([uL, uR])
-    fs = np.interp(states, nodes, flux.flux_values)
+        if flux.degree > 1 and flux.kappa <= 0.0:
+            raise UnsupportedFluxError(
+                f"flux {flux.name!r} is neither affine nor uniformly convex; "
+                "sample it to a piecewise-linear table instead"
+            )
+        if flux.degree > 1 and uL < uR:
+            return np.array([a, b]), slope_pieces(flux)[1]
+        us = np.array([a, b])
+        fs = flux(us)
     # slices rather than np.diff, whose call costs more than these
-    # few-element differences
-    return states, (fs[1:] - fs[:-1]) / (states[1:] - states[:-1])
-
-
-def _takes_slice(flux: AnyFlux, uL: float, uR: float) -> bool:
-    """Whether ``_slice_fan`` solves this flux on these data.
-
-    Data within the rounding slack outside ``K`` are left to the hull.
-    """
-    return (isinstance(flux, PiecewiseLinearFlux) and flux.convex
-            and flux.nodes[0] <= min(uL, uR)
-            and max(uL, uR) <= flux.nodes[-1])
-
-
-def _envelope_waves(flux: PiecewiseLinearFlux, uL: float, uR: float) -> tuple:
-    if _takes_slice(flux, uL, uR):
-        states, speeds = _slice_fan(flux, uL, uR)
-        states = states.tolist()
-        return tuple(map(Shock, speeds.tolist(), states[:-1], states[1:]))
-    a, b = (uL, uR) if uL < uR else (uR, uL)
-    nodes = flux.nodes
-    inner = nodes[(nodes > a) & (nodes < b)]
-    us = np.concatenate([[a], inner, [b]])
-    fs = flux(us)
+    # few-element differences; falling data difference each cell from its
+    # fan-left (upper) end, so a level chord runs at -0.0
     if uL < uR:
-        hull = _lower_hull(us, fs)
-        pairs = [(hull[i], hull[i + 1]) for i in range(len(hull) - 1)]
-    else:
-        hull = _lower_hull(us, -fs)  # upper concave hull of f
-        # traverse from uL (largest state) down so speeds come out increasing
-        pairs = [(hull[i + 1], hull[i]) for i in range(len(hull) - 2, -1, -1)]
-    waves = []
-    for ileft, iright in pairs:
-        s = (fs[iright] - fs[ileft]) / (us[iright] - us[ileft])
-        waves.append(Shock(float(s), float(us[ileft]), float(us[iright])))
-    return tuple(waves)
+        return us, (fs[1:] - fs[:-1]) / (us[1:] - us[:-1])
+    return us, (fs[:-1] - fs[1:]) / (us[:-1] - us[1:])
 
 
 def solve_riemann(flux: AnyFlux, uL: float, uR: float) -> RiemannFan:
@@ -191,24 +187,15 @@ def solve_riemann(flux: AnyFlux, uL: float, uR: float) -> RiemannFan:
     ``UnsupportedFluxError``.
     """
     uL, uR = float(uL), float(uR)
-    lo, hi = flux.K
-    if not (lo - 1e-12 <= min(uL, uR) and max(uL, uR) <= hi + 1e-12):
-        raise ValueError(f"Riemann data outside K={flux.K}")
-    if uL == uR:
-        return RiemannFan(uL, uR, ())
-    if isinstance(flux, PiecewiseLinearFlux):
-        return RiemannFan(uL, uR, _envelope_waves(flux, uL, uR))
-    if flux.degree > 1 and flux.kappa <= 0.0:
-        raise UnsupportedFluxError(
-            f"flux {flux.name!r} is neither affine nor uniformly convex; "
-            "sample it to a piecewise-linear table instead"
-        )
-    if flux.degree <= 1 or uL > uR:
-        return RiemannFan(uL, uR, (Shock(_rh_speed(flux, uL, uR), uL, uR),))
-    sL = float(flux.df(uL))
-    sR = float(flux.df(uR))
-    return RiemannFan(uL, uR,
-                      (Rarefaction(sL, sR, flux.inverse_deriv, uL, uR),))
+    x, speeds = _envelope(flux, uL, uR)
+    if speeds.ndim == 2:
+        return RiemannFan(uL, uR, (Rarefaction(
+            float(flux.df(uL)), float(flux.df(uR)), flux.inverse_deriv,
+            uL, uR),))
+    x, speeds = x.tolist(), speeds.tolist()
+    if uL > uR:  # falling data run down the cells
+        x, speeds = x[::-1], speeds[::-1]
+    return RiemannFan(uL, uR, tuple(map(Shock, speeds, x[:-1], x[1:])))
 
 
 def eval_fan(fan: RiemannFan, t: float, x):
@@ -235,23 +222,6 @@ def eval_fan(fan: RiemannFan, t: float, x):
     return float(out[0]) if scalar_in else out
 
 
-def _envelope_slope(flux: AnyFlux, fan: RiemannFan):
-    """``E'`` on the jump interval, in the form of ``slope_pieces``.
-
-    Cells run upwards from ``min(uL, uR)``: a shock's row is its speed, a
-    rarefaction's the coefficients of ``f'``.
-    """
-    waves = fan.waves if fan.uL < fan.uR else fan.waves[::-1]
-    x = np.array([min(fan.uL, fan.uR)] + [max(w.left, w.right) for w in waves])
-    rows = np.zeros((len(waves), MAX_DEGREE))
-    for k, w in enumerate(waves):
-        if isinstance(w, Shock):
-            rows[k, 0] = w.speed
-        else:
-            rows[k, :len(flux.slope_coeffs)] = flux.slope_coeffs
-    return x, rows
-
-
 # E_f' - E_g' is at most cubic on a cell, which the two-point Gauss rule
 # integrates exactly: nodes at the midpoint -/+ _GAUSS2 half-widths
 _GAUSS2 = 1.0 / np.sqrt(3.0)
@@ -270,23 +240,22 @@ def riemann_l1_diff(flux_f: AnyFlux, flux_g: AnyFlux,
     cut points is at most the variation, so the value is a lower bound by
     construction, and the roots make it exact.
 
-    When both fluxes are convex tables, ``E'`` is read off the table
-    slices directly: it is constant on each cell, so the gap is
-    ``t * sum |width * (E_f' - E_g')|`` with no root to find.
+    When both fans are shocks, ``E'`` is constant on each cell, so the
+    gap is ``t * sum |width * (E_f' - E_g')|`` with no root to find.  No
+    fan is built either way: both envelopes come from ``_envelope``.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
     if uL == uR:
         return 0.0
-    if _takes_slice(flux_f, uL, uR) and _takes_slice(flux_g, uL, uR):
-        # E' is the speed between neighbouring states; a falling jump's
-        # single cell needs no turning round, as the union sorts its ends
-        x, gap = slope_gap(_slice_fan(flux_f, uL, uR),
-                           _slice_fan(flux_g, uL, uR))
+    (xf, ef), (xg, eg) = _envelope(flux_f, uL, uR), _envelope(flux_g, uL, uR)
+    if ef.ndim == eg.ndim == 1:
+        x, gap = slope_gap((xf, ef), (xg, eg))
         return t * float(np.sum(np.abs((x[1:] - x[:-1]) * gap)))
-    pf = _envelope_slope(flux_f, solve_riemann(flux_f, uL, uR))
-    pg = _envelope_slope(flux_g, solve_riemann(flux_g, uL, uR))
-    x, gap = slope_gap(pf, pg)
+    # against a rarefaction's row of f', shock speeds are constant rows
+    pad = ((0, 0), (0, MAX_DEGREE - 1))
+    x, gap = slope_gap((xf, ef if ef.ndim == 2 else np.pad(ef[:, None], pad)),
+                       (xg, eg if eg.ndim == 2 else np.pad(eg[:, None], pad)))
     x, gap = refine(x, gap, roots_in_cells(x, gap))
     h = 0.5 * np.diff(x)
     nodes = x[:-1] + h + np.outer([-_GAUSS2, _GAUSS2], h)

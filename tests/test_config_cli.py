@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fluxstab import PiecewiseConstantFn
-from fluxstab.cli import main
+from fluxstab.cli import build_parser, main
 from fluxstab.config import (ConfigError, apply_overrides, get_value,
                              parse_config_text, resolve_check, resolve_datum,
                              resolve_flux, resolve_matrix)
@@ -168,6 +168,30 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     assert "built-in fluxes:" in out
     assert "datum specs:" in out
+
+
+@pytest.mark.parametrize("argv, command, config, out, seed, overrides", [
+    (["riemann", "left=1", "right=0"], "riemann", None, None, None,
+     ["left=1", "right=0"]),
+    (["hatd", "flux_f=nosuch", "flux_g=burgers", "--out", "d"], "hatd", None,
+     "d", None, ["flux_f=nosuch", "flux_g=burgers"]),
+    (["rexp", "n_min=3", "--out", "d", "n_max=3"], "rexp", None, "d", None,
+     ["n_min=3", "n_max=3"]),
+    (["classical-limit", "--config", "c.cfg", "out="], "classical-limit",
+     "c.cfg", None, None, ["out="]),
+    (["osl", "datum=sawtooth 1", "t=0.5", "--seed", "5"], "osl", None, None,
+     5, ["datum=sawtooth 1", "t=0.5"]),
+    (["suite", "segments=32", "--out", "d", "--seed", "7"], "suite", None,
+     "d", 7, ["segments=32"]),
+    (["riemann", "--config", "r.cfg", "right=-0.5"], "riemann", "r.cfg", None,
+     None, ["right=-0.5"]),
+    (["jac-gap"], "jac-gap", None, None, None, []),
+])
+def test_cli_parses_intermixed_flags_and_overrides(argv, command, config,
+                                                   out, seed, overrides):
+    args = build_parser().parse_intermixed_args(argv)
+    assert (args.command, args.config, args.out, args.seed,
+            args.overrides) == (command, config, out, seed, overrides)
 
 
 def test_cli_riemann(capsys):

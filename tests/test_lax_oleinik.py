@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fluxstab import (LaxOleinikProblem, PeriodicSquareWave,
-                      PiecewiseConstantFn, ShockChars, burgers, ft_evolve,
-                      lax_oleinik_eval, lax_oleinik_eval_many, linear_flux,
-                      linfty_bound_check, modified_datum,
+                      PiecewiseConstantFn, ShockChars, burgers, convex_poly,
+                      ft_evolve, lax_oleinik_eval, lax_oleinik_eval_many,
+                      linear_flux, linfty_bound_check, modified_datum,
                       oleinik_tv_bound_check, one_sided_lipschitz_check,
                       pl_sample, rexp_counterexample, sawtooth_datum,
-                      tilted_burgers)
+                      scaled_burgers, tilted_burgers)
 from fluxstab.lax_oleinik import StepData, as_initial_data
 
 
@@ -267,6 +267,27 @@ def test_linfty_bound_remark_pair():
     assert rep.deriv_gap == pytest.approx(1.0, abs=1e-12)
 
 
+def test_refinements_report_their_budget():
+    # the last doubling still moves lhs by about 1e-4 relative at 2^15
+    rep = linfty_bound_check(convex_poly(0.5, 0.1, 0.0),
+                             convex_poly(0.7, -0.1, 0.1), sawtooth_datum(1),
+                             0.5, 0.0, 1.0)
+    assert (rep.n_grid, rep.converged) == (32768, False)
+    assert rep.line().endswith(", 32768 panels, budget reached)")
+    # the shipped saturating config and the benchmark's oleinik-tv rows
+    rep = linfty_bound_check(burgers(), tilted_burgers(-1.0),
+                             sawtooth_datum(1), 0.5, 0.0, 1.0)
+    assert (rep.n_grid, rep.converged) == (2048, True)
+    assert rep.line().endswith(", 2048 panels)")
+    for flux, n, t, b, n_grid in [(scaled_burgers(0.75), 3, 0.125, 1.0, 2048),
+                                  (convex_poly(0.5, 0.0, 0.25), 1, 0.4, 2.0,
+                                   4096)]:
+        rep = oleinik_tv_bound_check(
+            LaxOleinikProblem(flux, sawtooth_datum(n)), t, 0.0, b)
+        assert (rep.n_grid, rep.converged) == (n_grid, True)
+        assert "budget" not in rep.line()
+
+
 def test_linfty_bound_input_checks():
     with pytest.raises(ValueError):
         linfty_bound_check(burgers((-1.0, 1.0)), burgers((-2.0, 2.0)),
@@ -279,7 +300,7 @@ def test_linfty_bound_input_checks():
 def test_osl_check_on_sawtooth():
     problem = LaxOleinikProblem(burgers(), sawtooth_datum(2))
     rep = one_sided_lipschitz_check(problem, 0.25, 0.0, 1.0, n_pairs=2000)
-    assert rep.violations == 0
+    assert rep.violations == 0 and rep.holds
     assert rep.n_pairs > 0
     # ramps of slope 1/t make the bound sharp, so the excess sits near zero
     assert rep.max_excess <= rep.slack

@@ -11,6 +11,8 @@ from fluxstab import (PiecewiseLinearFlux, Rarefaction, RiemannSampler,
                       scaled_burgers, solve_riemann, tilted_burgers,
                       validate_fan)
 from fluxstab import riemann
+from fluxstab.fluxes import (MAX_DEGREE, eval_rows, refine, roots_in_cells,
+                             slope_gap)
 from fluxstab.riemann import RiemannFan, _lower_hull
 
 
@@ -193,6 +195,27 @@ def test_slice_waves_equal_hull_waves():
         np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-15)
 
 
+def test_hull_fans_equal_hull_waves():
+    # values on quarters tie often, so falling jumps between equal values
+    # make level chords, whose speed is -0.0 when differenced from the
+    # fan-left end as the hull walks them
+    rng = np.random.default_rng(8)
+    level = 0
+    for _ in range(60):
+        nodes = np.linspace(-1.0, 1.0, int(rng.integers(3, 12)))
+        flux = PiecewiseLinearFlux(nodes, rng.integers(-2, 3, nodes.size) / 4.0)
+        if flux.convex:
+            continue
+        data = np.concatenate([rng.choice(nodes, size=(10, 2)),
+                               rng.uniform(-1.0, 1.0, size=(10, 2))])
+        for uL, uR in data[data[:, 0] != data[:, 1]]:
+            waves = solve_riemann(flux, uL, uR).waves
+            assert repr(waves) == repr(tuple(_hull_waves(flux, uL, uR)))
+            level += sum(w.speed == 0.0 and np.signbit(w.speed)
+                         for w in waves)
+    assert level > 0
+
+
 def test_equal_slopes_keep_the_hull_and_merge():
     # dyadic values, so the repeated slopes are exact and the nodes on
     # them exactly collinear
@@ -318,24 +341,90 @@ def test_l1_diff_convex_tables_match_closed_forms(entry):
             want, rel=1e-13, abs=floor)
 
 
-def test_l1_diff_slices_only_two_convex_tables(monkeypatch):
-    solves = []
-    solve = riemann.solve_riemann
+def test_l1_diff_builds_no_fan(monkeypatch):
+    built = []
+    solve, fan = riemann.solve_riemann, riemann.RiemannFan
     monkeypatch.setattr(riemann, "solve_riemann",
-                        lambda *args: solves.append(args) or solve(*args))
+                        lambda *args: built.append(args) or solve(*args))
+    monkeypatch.setattr(riemann, "RiemannFan",
+                        lambda *args: built.append(args) or fan(*args))
     f, g = pl_sample(burgers(), 16), pl_sample(scaled_burgers(1.5), 16)
     nonconvex = PiecewiseLinearFlux(f.nodes, np.cos(3.0 * f.nodes))
+    pairs = [(f, g), (f, nonconvex), (nonconvex, nonconvex)]
+    for smooth in (burgers(), convex_poly(0.5, 0.1, 0.0), linear_flux(0.3)):
+        pairs += [(f, smooth), (smooth, f), (smooth, burgers())]
     for uL, uR in [(-0.3, 0.8), (0.8, -0.3)]:
-        riemann_l1_diff(f, g, uL, uR)
-        assert solves == []
-        for other in (nonconvex, burgers()):
-            riemann_l1_diff(f, other, uL, uR)
-            riemann_l1_diff(other, f, uL, uR)
-            assert len(solves) == 4
-            solves.clear()
+        for ff, gg in pairs:
+            assert riemann_l1_diff(ff, gg, uL, uR) >= 0.0
+    assert built == []
     for uL, uR in [(0.0, 1.5), (-1.5, 0.0), (1.5, 0.0), (0.0, -1.5)]:
         with pytest.raises(ValueError):
             riemann_l1_diff(f, g, uL, uR)
+
+
+_GAUSS2 = 1.0 / np.sqrt(3.0)
+
+
+def _reference_l1_diff(flux_f, flux_g, uL, uR, t=1.0):
+    """The gap summed by the two-point Gauss rule over both fans turned
+    back into ``E'``, cut at the roots of its difference, for any fans."""
+    if uL == uR:
+        return 0.0
+    pieces = []
+    for flux in (flux_f, flux_g):
+        fan = solve_riemann(flux, uL, uR)
+        waves = fan.waves if fan.uL < fan.uR else fan.waves[::-1]
+        x = np.array([min(fan.uL, fan.uR)]
+                     + [max(w.left, w.right) for w in waves])
+        rows = np.zeros((len(waves), MAX_DEGREE))
+        for k, w in enumerate(waves):
+            if isinstance(w, Shock):
+                rows[k, 0] = w.speed
+            else:
+                rows[k, :len(flux.slope_coeffs)] = flux.slope_coeffs
+        pieces.append((x, rows))
+    x, gap = slope_gap(*pieces)
+    x, gap = refine(x, gap, roots_in_cells(x, gap))
+    h = 0.5 * np.diff(x)
+    nodes = x[:-1] + h + np.outer([-_GAUSS2, _GAUSS2], h)
+    inc = h * np.sum(eval_rows(gap, nodes), axis=0)
+    return t * float(np.sum(np.abs(inc)))
+
+
+def _gap_pairs():
+    """Nonconvex random tables, convex samples, smooth shock and
+    rarefaction pairs, and mixed and linear pairs, all on [-1, 1]."""
+    rng = np.random.default_rng(17)
+    nodes = np.linspace(-1.0, 1.0, 9)
+    tables = [PiecewiseLinearFlux(nodes, rng.integers(-2, 3, 9) / 4.0)
+              for _ in range(4)]
+    tables += [PiecewiseLinearFlux(np.sort(np.concatenate(
+        [[-1.0, 1.0], rng.uniform(-1.0, 1.0, 12)])), rng.normal(size=14))
+        for _ in range(4)]
+    pairs = list(zip(tables[:-1], tables[1:]))
+    for e in bundled_pairs(segments=32):
+        pairs.append((e["f"], e["g"]))
+    smooth = [burgers(), scaled_burgers(1.5), tilted_burgers(0.25),
+              convex_poly(0.5, 0.1, 0.0), convex_poly(0.5, 0.0, 0.25)]
+    pairs += list(zip(smooth[:-1], smooth[1:]))
+    pairs += [(linear_flux(0.3), linear_flux(-0.2)),
+              (linear_flux(0.3), burgers()), (burgers(), linear_flux(0.0))]
+    for table in (tables[0], tables[5], pl_sample(burgers(), 16)):
+        for other in (burgers(), convex_poly(0.5, 0.1, 0.0),
+                      linear_flux(0.3)):
+            pairs += [(table, other), (other, table)]
+    return rng, pairs
+
+
+def test_l1_diff_matches_gauss_sum_over_fans():
+    rng, pairs = _gap_pairs()
+    for f, g in pairs:
+        data = rng.uniform(-1.0, 1.0, size=(40, 2))
+        if isinstance(f, PiecewiseLinearFlux):
+            data[:10] = rng.choice(f.nodes, size=(10, 2))
+        for (uL, uR), t in zip(data, rng.choice([0.5, 1.0, 1.7], 40)):
+            assert repr(riemann_l1_diff(f, g, uL, uR, t)) == repr(
+                _reference_l1_diff(f, g, uL, uR, t))
 
 
 def test_l1_diff_zero_for_equal_data():
