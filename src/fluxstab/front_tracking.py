@@ -7,23 +7,42 @@ result at the final time is therefore an exact entropy solution, not an
 approximation, which is what makes the semigroup distances computed here
 trustworthy reference numbers.
 
-The fronts are kept in four arrays, position, speed, left and right state,
-sorted by position.  A collision changes only the fronts that meet, so each
-event advances every front to the earliest neighbour collision and splices
-the waves of one Riemann problem in place of that colliding group; groups
-that meet at the same instant follow on the next events with a zero time
-step.  The total variation is updated by the change in the replaced jumps.
+Each front is a row ``(x0, t0, speed, left, right)``: born at ``x0`` at
+time ``t0``, it sits at ``x0 + speed * (t - t0)`` until it dies, so an
+event moves no other front.  The fronts form a list linked by ``prev``
+and ``next`` in position order, and a heap holds the collision time of
+each pair of neighbours that close in on each other.  A pair is pushed
+once, when the two become neighbours.  Its entry is stale once either
+front has died, and is skipped when popped, so stale pops never
+outnumber pushes; since new fronts reuse the slots of dead ones, an
+entry names its pair by the left front's slot and the serial numbers of
+both fronts.  An event pops the earliest valid pair, widens it to the
+run of fronts within the position tolerance and splices the waves of one
+Riemann problem in place of that run, so it costs the size of the run
+and a heap operation per new pair, not the number of fronts.  Only the
+pairs the new waves make with each other and with the two outer
+neighbours are pushed.  Groups that meet at the same instant follow on
+the next events at the same time.  The total variation is updated by the
+change in the replaced jumps, and a budget on the event count turns a
+runaway loop into :class:`FrontTrackingError`.
+
+The waves of each Riemann problem are read straight off the flux
+envelope ``riemann._envelope``.  A jump with no flux node strictly
+between its states is a single chord shock, so the initial fronts of such
+jumps come from one array expression.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .fluxes import PiecewiseLinearFlux
 from .pwfun import PiecewiseConstantFn, l1_distance
-from .riemann import Shock, solve_riemann
+from .riemann import _envelope
 
 __all__ = [
     "FrontTrackingError",
@@ -71,22 +90,64 @@ def _project_values(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.where(values - lo <= hi - values, lo, hi)
 
 
-def _shock_waves(flux, vl: float, vr: float) -> list:
-    waves = solve_riemann(flux, vl, vr).waves
-    for w in waves:
-        if not isinstance(w, Shock):
-            raise FrontTrackingError(
-                "flux produced a rarefaction wave; front tracking needs a "
-                "piecewise-linear or linear flux")
-    return waves
+def _waves(flux, uL: float, uR: float) -> tuple[list, list, list]:
+    """Speeds, left and right states of the waves of ``uL | uR``."""
+    x, speeds = _envelope(flux, uL, uR)
+    if speeds.ndim == 2:
+        raise FrontTrackingError(
+            "flux produced a rarefaction wave; front tracking needs a "
+            "piecewise-linear or linear flux")
+    x, speeds = x.tolist(), speeds.tolist()
+    if uL > uR:  # falling data run down the cells
+        x, speeds = x[::-1], speeds[::-1]
+    return speeds, x[:-1], x[1:]
 
 
-def _fronts_at(flux, xs, vls, vrs) -> np.ndarray:
-    """Rows ``(position, speed, left, right)`` of the waves of each jump."""
-    rows = [(x, w.speed, w.left, w.right)
-            for x, vl, vr in zip(xs, vls, vrs)
-            for w in _shock_waves(flux, vl, vr)]
-    return np.array(rows, dtype=float).reshape(-1, 4)
+def _initial_fronts(flux, xs: np.ndarray, vl: np.ndarray,
+                    vr: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns ``(position, speed, left, right)`` of the waves of each jump.
+
+    On a node table a jump with no node strictly between its states is
+    one chord shock, whose speed ``(f(vr) - f(vl)) / (vr - vl)`` is the
+    envelope's (a level chord on falling data runs at ``-0.0``).  Only
+    the jumps that span a node, and every jump of a polynomial flux, are
+    solved one by one.
+    """
+    nodes = getattr(flux, "nodes", None)
+    if nodes is None:
+        spans = np.arange(xs.size)
+        s = np.empty(xs.size)  # every speed comes from a solve
+    else:
+        fl, fr = (np.interp(v, nodes, flux.flux_values) for v in (vl, vr))
+        s = (fr - fl) / (vr - vl)
+        lo, hi = np.minimum(vl, vr), np.maximum(vl, vr)
+        spans = np.flatnonzero(np.searchsorted(nodes, hi)
+                               > np.searchsorted(nodes, lo, side="right"))
+    counts = np.ones(xs.size, dtype=int)
+    fans = [_waves(flux, vl[k], vr[k]) for k in spans.tolist()]
+    counts[spans] = [len(fan[0]) for fan in fans]
+    cols = [np.repeat(c, counts) for c in (xs, s, vl, vr)]
+    starts = (np.cumsum(counts) - counts)[spans]
+    for k, fan in zip(starts.tolist(), fans):
+        for c, w in zip(cols[1:], fan):
+            c[k:k + len(w)] = w
+    return tuple(cols)
+
+
+def _initial_heap(x: np.ndarray, s: np.ndarray, T: float) -> list:
+    """Heap of ``(time, slot, serial, serial)`` entries, one per closing pair.
+
+    An entry names a pair by the slot of its left front and the serial
+    numbers of both fronts.  At ``t = 0`` every front sits where it was
+    born and slots equal serials, so the collision times of all pairs come
+    from one array expression with the arithmetic of a single push.
+    """
+    a = np.flatnonzero(s[:-1] - s[1:] > _PARALLEL)
+    tc = np.maximum(x[a + 1] - x[a], 0.0) / (s[a] - s[a + 1])
+    a, tc = a[tc < T], tc[tc < T]
+    heap = list(zip(tc.tolist(), a.tolist(), a.tolist(), (a + 1).tolist()))
+    heapify(heap)
+    return heap
 
 
 def _profile_from(x: np.ndarray, right: np.ndarray, tail: float,
@@ -100,16 +161,19 @@ def _profile_from(x: np.ndarray, right: np.ndarray, tail: float,
     return fn.simplified()
 
 
-def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn, T: float,
-              project: bool = True) -> FrontTrackingState:
+def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
+              T: float) -> FrontTrackingState:
     """Track ``u0`` under ``flux`` up to time ``T``.
 
-    Data values are snapped to the nearest flux node first (``project``).
-    Each event advances all fronts to the earliest collision of two
-    neighbours, widens that pair to the run of fronts within the position
-    tolerance, and resolves the run as one Riemann problem between its
-    outermost states at their mean position.  Raises
-    :class:`FrontTrackingError` if the event budget is exhausted, which
+    Data values on a node table are snapped to the nearest node first.
+    Fronts keep their birth time and position, so an event moves no other
+    front.  Each event pops the earliest collision time of two neighbours
+    off a heap, skipping stale entries (a front of the pair has died),
+    widens the pair to the run of fronts within the position tolerance and
+    resolves the run as one Riemann problem at its mean position; only the
+    new waves and their two outer neighbours get heap entries.  Raises
+    :class:`FrontTrackingError` when a rarefaction fan forms or the event
+    budget ``1000 + 4 (fronts + nodes)^2`` is exhausted; the latter
     signals an internal error rather than bad input.
     """
     if u0.dim != 1:
@@ -118,56 +182,116 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn, T: float,
         raise ValueError("T must be nonnegative")
     vals = u0.values[:, 0]
     nodes = getattr(flux, "nodes", None)
-    if project and nodes is not None:
+    if nodes is not None:
         vals = _project_values(vals, nodes)
     tail = float(vals[0])
     jump = vals[:-1] != vals[1:]
-    x, s, left, right = _fronts_at(
-        flux, u0.breakpoints[jump].tolist(), vals[:-1][jump].tolist(),
-        vals[1:][jump].tolist()).T.copy()
+    cols = _initial_fronts(flux, u0.breakpoints[jump], vals[:-1][jump],
+                           vals[1:][jump])
+    # typed columns, 8 bytes a value: the rarefaction fans of a fine table
+    # make many fronts
+    n = cols[0].size
+    X, S, L, R = (array("d", c.tobytes()) for c in cols)
+    T0 = array("d", bytes(8 * n))
+    ids = np.arange(n, dtype=np.int64)
+    prev, nxt = array("q", (ids - 1).tobytes()), array("q", (ids + 1).tobytes())
+    if n:
+        nxt[-1] = -1  # past the last front, and on dead slots
+    head = 0 if n else -1
+    serial = array("q", ids.tobytes())
+    n_born = n
+    free: list[int] = []
     span = [abs(b) for b in (u0.support or (0.0, 0.0))]
     pos_tol = 1e-12 * (1.0 + max(span) + flux.lambda_hat * T)
 
-    tv = float(np.sum(np.abs(right - left)))
+    heap = _initial_heap(cols[0], cols[1], T)
+
+    def push(a: int, b: int, t: float) -> None:
+        closing = S[a] - S[b]
+        if closing > _PARALLEL:
+            gap = X[b] + S[b] * (t - T0[b]) - (X[a] + S[a] * (t - T0[a]))
+            tc = t + max(gap, 0.0) / closing
+            if tc < T:
+                heappush(heap, (tc, a, serial[a], serial[b]))
+
+    tv = float(np.sum(np.abs(cols[3] - cols[2])))
     tv_history = [(0.0, tv)]
     n_events = 0
     n_nodes = nodes.size if nodes is not None else 0
-    max_events = 1000 + 4 * (x.size + n_nodes) ** 2
-    t = 0.0
-    while t < T and x.size > 1:
-        closing = s[:-1] - s[1:]
-        dts = np.divide(np.maximum(np.diff(x), 0.0), closing,
-                        out=np.full(closing.size, np.inf),
-                        where=closing > _PARALLEL)
-        k = int(np.argmin(dts))
-        dt = float(dts[k])
-        if t + dt >= T:
-            break
-        t += dt
-        x += s * dt
-        i, j = k, k + 1
-        while i > 0 and x[i] - x[i - 1] <= pos_tol:
-            i -= 1
-        while j + 1 < x.size and x[j + 1] - x[j] <= pos_tol:
-            j += 1
-        new = _fronts_at(flux, [float(np.mean(x[i:j + 1]))],
-                         [float(left[i])], [float(right[j])])
-        tv += float(np.sum(np.abs(new[:, 3] - new[:, 2]))
-                    - np.sum(np.abs(right[i:j + 1] - left[i:j + 1])))
-        x, s, left, right = (np.concatenate([a[:i], b, a[j + 1:]])
-                             for a, b in zip((x, s, left, right), new.T))
+    max_events = 1000 + 4 * (n + n_nodes) ** 2
+    while heap:
+        t, a, sa, sb = heappop(heap)
+        b = nxt[a]
+        if b < 0 or serial[a] != sa or serial[b] != sb:
+            continue  # stale: a front died, or the two are apart
+        # widen the pair to the run i..j of fronts within pos_tol
+        i, j = a, b
+        xs = [X[a] + S[a] * (t - T0[a]), X[b] + S[b] * (t - T0[b])]
+        while prev[i] >= 0:
+            k = prev[i]
+            xk = X[k] + S[k] * (t - T0[k])
+            if xs[0] - xk > pos_tol:
+                break
+            i = k
+            xs.insert(0, xk)
+        while nxt[j] >= 0:
+            k = nxt[j]
+            xk = X[k] + S[k] * (t - T0[k])
+            if xk - xs[-1] > pos_tol:
+                break
+            j = k
+            xs.append(xk)
+        # free the run's slots and link its waves between p and q
+        p, q = prev[i], nxt[j]
+        speeds, lefts, rights = _waves(flux, L[i], R[j])
+        old, k = 0.0, i
+        while k != q:
+            old += abs(R[k] - L[k])
+            free.append(k)
+            k = nxt[k]
+            nxt[free[-1]] = -1
+        tv += sum(abs(r - l) for l, r in zip(lefts, rights)) - old
+        x_bar = sum(xs) / len(xs)
+        links = [p]
+        for w in zip(speeds, lefts, rights):
+            if not free:
+                free.append(len(X))
+                for col in (X, T0, S, L, R, prev, nxt, serial):
+                    col.append(0)
+            k = free.pop()
+            X[k], T0[k], serial[k] = x_bar, t, n_born
+            S[k], L[k], R[k] = w
+            n_born += 1
+            links.append(k)
+        links.append(q)
+        for u, v in zip(links, links[1:]):
+            if u < 0:
+                head = v
+            else:
+                nxt[u] = v
+            if v >= 0:
+                prev[v] = u
+                if u >= 0:
+                    push(u, v, t)
         n_events += 1
         tv_history.append((t, tv))
         if n_events > max_events:
             raise FrontTrackingError(
-                f"event budget exhausted ({n_events} events, {x.size} fronts)"
-            )
-    if T > t:
-        x += s * (T - t)
+                f"event budget exhausted ({n_events} events)")
+    order = []
+    k = head
+    while k >= 0:
+        order.append(k)
+        k = nxt[k]
+    order = np.array(order, dtype=int)
+    x0, s, t0, left, right = (np.frombuffer(c)[order]
+                              for c in (X, S, T0, L, R))
+    x = x0 + s * (T - t0)
     return FrontTrackingState(
         time=T,
         profile=_profile_from(x, right, tail, pos_tol),
-        fronts=tuple(zip(x.tolist(), s.tolist(), left.tolist(), right.tolist())),
+        fronts=tuple(zip(x.tolist(), s.tolist(), left.tolist(),
+                         right.tolist())),
         tv_history=tuple(tv_history),
         n_events=n_events,
     )

@@ -74,9 +74,9 @@ class TmainReport:
     lipschitz: float
     holds: bool
 
-    def line(self, label: str = "tmain") -> str:
+    def line(self) -> str:
         verdict = "PASS" if self.holds else "FAIL"
-        return (f"[{verdict}] {label}: lhs={self.lhs!r} <= rhs={self.rhs!r} "
+        return (f"[{verdict}] tmain: lhs={self.lhs!r} <= rhs={self.rhs!r} "
                 f"(hat_d={self.hat_d!r}, tv_integral={self.tv_time_integral!r})")
 
 
@@ -125,9 +125,9 @@ class PgeneralReport:
     arg_right: float
     location: str
 
-    def line(self, label: str = "pgeneral") -> str:
+    def line(self) -> str:
         verdict = "PASS" if self.holds else "FAIL"
-        return (f"[{verdict}] {label}: sampled hat_d={self.estimate!r} vs "
+        return (f"[{verdict}] pgeneral: sampled hat_d={self.estimate!r} vs "
                 f"max|f'-g'|={self.deriv_sup!r} (ratio={self.ratio:.6f}, "
                 f"sup at {self.location})")
 
@@ -173,9 +173,9 @@ class LerrestReport:
     n_steps: int
     holds: bool
 
-    def line(self, label: str = "lerrest") -> str:
+    def line(self) -> str:
         verdict = "PASS" if self.holds else "FAIL"
-        return f"[{verdict}] {label}: lhs={self.lhs!r} <= 1.1 * {self.rhs!r}"
+        return f"[{verdict}] lerrest: lhs={self.lhs!r} <= 1.1 * {self.rhs!r}"
 
 
 def lerrest_diagnostic(flux, w: Callable[[float], PiecewiseConstantFn],

@@ -8,8 +8,9 @@ from fluxstab import (FrontTrackingError, PiecewiseConstantFn,
                       ft_evolve, l1_distance, linear_flux, pl_sample,
                       semigroup_l1_diff, total_variation)
 from fluxstab.front_tracking import (_PARALLEL, FrontTrackingState,
-                                     _project_values, _shock_waves)
+                                     _profile_from, _project_values)
 from fluxstab.metrics import bundled_pairs
+from fluxstab.riemann import Shock, solve_riemann
 
 
 def pulse(height=1.0, width=1.0):
@@ -100,6 +101,36 @@ def test_smooth_convex_flux_rejected_when_fan_forms():
         ft_evolve(burgers(), PiecewiseConstantFn.step(0.0, -1.0, 1.0), 0.5)
 
 
+def test_initial_fronts_are_the_riemann_waves():
+    # chord rows of adjacent-node jumps and envelope rows of node-spanning
+    # ones, rising and falling, must be the solver's waves to the last bit
+    rng = np.random.default_rng(4)
+    nodes = np.linspace(-1.0, 1.0, 9)
+    level = PiecewiseLinearFlux(nodes, [0.0, 0.5, 0.5, 0.0, 0.0, 0.25, -0.25,
+                                        -0.25, 0.0])
+    tables = [pl_sample(burgers(), 8), level,
+              PiecewiseLinearFlux(nodes, rng.uniform(-0.5, 0.5, 9))]
+    kinds = set()
+    rows, want = [], []
+    for flux in [*tables, linear_flux(0.4), linear_flux(-0.3)]:
+        if isinstance(flux, PiecewiseLinearFlux):
+            idx = rng.integers(0, 9, 120)
+            vals = flux.nodes[idx]
+            kinds |= {(abs(int(d)) > 1, int(np.sign(d))) for d in np.diff(idx)}
+        else:
+            vals = rng.uniform(-1.0, 1.0, 20)
+        u0 = PiecewiseConstantFn(np.sort(rng.uniform(0.5, 3.0, vals.size - 1)),
+                                 vals)
+        rows += ft_evolve(flux, u0, 0.0).fronts
+        for x, vl, vr in zip(u0.breakpoints, vals[:-1], vals[1:]):
+            if vl != vr:
+                want += [(float(x), w.speed, w.left, w.right)
+                         for w in solve_riemann(flux, vl, vr).waves]
+    assert kinds >= {(False, 1), (False, -1), (True, 1), (True, -1)}
+    assert repr(rows) == repr(want)
+    assert "-0.0" in repr([s for _x, s, _l, _r in rows])
+
+
 def test_conservation_and_tv_decay_on_random_data():
     rng = np.random.default_rng(5)
     flux = pl_sample(burgers(), 32)
@@ -176,12 +207,79 @@ def test_time_zero_and_negative_time():
         ft_evolve(flux, u0, -1.0)
 
 
-# -- reference: the event loop that rescans, regroups and recounts TV -----------
+# -- references: the loops the event queue replaced -----------------------------
 
-def _reference_initial_fronts(flux, u0, project):
+def _shock_waves(flux, vl, vr):
+    waves = solve_riemann(flux, vl, vr).waves
+    assert all(isinstance(w, Shock) for w in waves)
+    return waves
+
+
+def _fronts_at(flux, xs, vls, vrs):
+    """Rows ``(position, speed, left, right)`` of the waves of each jump."""
+    rows = [(x, w.speed, w.left, w.right)
+            for x, vl, vr in zip(xs, vls, vrs)
+            for w in _shock_waves(flux, vl, vr)]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _array_loop_reference(flux, u0, T):
+    """Reference: fronts in four arrays; every event advances all of them
+    to the earliest neighbour collision and splices the group's waves."""
     vals = u0.values[:, 0]
     nodes = getattr(flux, "nodes", None)
-    if project and nodes is not None:
+    if nodes is not None:
+        vals = _project_values(vals, nodes)
+    tail = float(vals[0])
+    jump = vals[:-1] != vals[1:]
+    x, s, left, right = _fronts_at(
+        flux, u0.breakpoints[jump].tolist(), vals[:-1][jump].tolist(),
+        vals[1:][jump].tolist()).T.copy()
+    span = [abs(b) for b in (u0.support or (0.0, 0.0))]
+    pos_tol = 1e-12 * (1.0 + max(span) + flux.lambda_hat * T)
+    tv = float(np.sum(np.abs(right - left)))
+    tv_history = [(0.0, tv)]
+    n_events = 0
+    t = 0.0
+    while t < T and x.size > 1:
+        closing = s[:-1] - s[1:]
+        dts = np.divide(np.maximum(np.diff(x), 0.0), closing,
+                        out=np.full(closing.size, np.inf),
+                        where=closing > _PARALLEL)
+        k = int(np.argmin(dts))
+        dt = float(dts[k])
+        if t + dt >= T:
+            break
+        t += dt
+        x += s * dt
+        i, j = k, k + 1
+        while i > 0 and x[i] - x[i - 1] <= pos_tol:
+            i -= 1
+        while j + 1 < x.size and x[j + 1] - x[j] <= pos_tol:
+            j += 1
+        new = _fronts_at(flux, [float(np.mean(x[i:j + 1]))],
+                         [float(left[i])], [float(right[j])])
+        tv += float(np.sum(np.abs(new[:, 3] - new[:, 2]))
+                    - np.sum(np.abs(right[i:j + 1] - left[i:j + 1])))
+        x, s, left, right = (np.concatenate([a[:i], b, a[j + 1:]])
+                             for a, b in zip((x, s, left, right), new.T))
+        n_events += 1
+        tv_history.append((t, tv))
+    if T > t:
+        x += s * (T - t)
+    return FrontTrackingState(
+        time=T,
+        profile=_profile_from(x, right, tail, pos_tol),
+        fronts=tuple(zip(x.tolist(), s.tolist(), left.tolist(), right.tolist())),
+        tv_history=tuple(tv_history),
+        n_events=n_events,
+    )
+
+
+def _reference_initial_fronts(flux, u0):
+    vals = u0.values[:, 0]
+    nodes = getattr(flux, "nodes", None)
+    if nodes is not None:
         vals = _project_values(vals, nodes)
     fronts = []
     for k, x in enumerate(u0.breakpoints):
@@ -206,15 +304,15 @@ def _reference_profile(fronts, tail, pos_tol):
     return fn.simplified()
 
 
-def _regroup_reference(flux, u0, T, project=True):
+def _regroup_reference(flux, u0, T):
     """Reference: every event rescans all neighbour pairs, advances every
     front in Python, regroups the whole list and recomputes TV."""
-    fronts = _reference_initial_fronts(flux, u0, project)
+    fronts = _reference_initial_fronts(flux, u0)
     span = [abs(b) for b in (u0.support or (0.0, 0.0))]
     pos_tol = 1e-12 * (1.0 + max(span) + flux.lambda_hat * T)
     nodes = getattr(flux, "nodes", None)
     tail = float(u0.values[0, 0])
-    if project and nodes is not None:
+    if nodes is not None:
         tail = float(_project_values(u0.values[:1, 0], nodes)[0])
 
     def tv_now() -> float:
@@ -331,39 +429,70 @@ def _reference_cases():
     yield pl_sample(burgers(), 512), PiecewiseConstantFn(bps, vals), 1.0
 
 
+def _assert_same_evolution(got, want):
+    assert got.n_events == want.n_events
+    np.testing.assert_allclose(got.profile.breakpoints,
+                               want.profile.breakpoints, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.profile.values, want.profile.values,
+                               rtol=0, atol=1e-12)
+    assert got.tv_time_integral() == pytest.approx(
+        want.tv_time_integral(), rel=0, abs=1e-12)
+
+
 def test_matches_regrouping_reference():
     n_cases = 0
     for flux, u0, T in _reference_cases():
-        got = ft_evolve(flux, u0, T)
-        want = _regroup_reference(flux, u0, T)
-        assert got.n_events == want.n_events
-        np.testing.assert_allclose(got.profile.breakpoints,
-                                   want.profile.breakpoints, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.profile.values, want.profile.values,
-                                   rtol=0, atol=1e-12)
-        assert got.tv_time_integral() == pytest.approx(
-            want.tv_time_integral(), rel=0, abs=1e-12)
+        _assert_same_evolution(ft_evolve(flux, u0, T),
+                               _regroup_reference(flux, u0, T))
         n_cases += 1
     assert n_cases == 100 + 24 + 1
 
 
-def test_many_jumps_keep_mass_variation_and_contraction():
+def _node_steps(flux, rng, n):
+    """``n`` random jumps on [-1, 1] between random flux nodes."""
+    bps = np.sort(rng.uniform(-1.0, 1.0, n))
+    vals = rng.choice(flux.nodes, n + 1)
+    vals[-1] = vals[0]  # equal tails, so the window integral is conserved
+    return PiecewiseConstantFn(bps, vals)
+
+
+def _many_jump_data():
     flux = pl_sample(burgers(), 512)
     rng = np.random.default_rng(50)
-    T = 0.5
+    return flux, _node_steps(flux, rng, 50), _node_steps(flux, rng, 50), 0.5
 
-    def node_steps():
-        bps = np.sort(rng.uniform(-1.0, 1.0, 50))
-        vals = rng.choice(flux.nodes, 51)
-        vals[-1] = vals[0]  # equal tails, so the window integral is conserved
-        return PiecewiseConstantFn(bps, vals)
 
-    u0, v0 = node_steps(), node_steps()
+def test_matches_array_loop_reference():
+    flux, u0, v0, T = _many_jump_data()
+    cases = [*_reference_cases(), (flux, u0, T), (flux, v0, T)]
+    for flux, u0, T in cases:
+        _assert_same_evolution(ft_evolve(flux, u0, T),
+                               _array_loop_reference(flux, u0, T))
+    assert len(cases) == 100 + 24 + 1 + 2
+
+
+def _assert_mass_variation_and_contraction(flux, u0, v0, T):
     win = (-3.0, 3.0)  # holds every front: data on [-1, 1], speeds <= 1
     ut, vt = ft_evolve(flux, u0, T), ft_evolve(flux, v0, T)
-    assert ut.n_events > 1000 and vt.n_events > 1000
     for d0, dt in ((u0, ut.profile), (v0, vt.profile)):
         assert abs(dt.integral(win).item() - d0.integral(win).item()) <= 1e-10
         assert total_variation(dt) - total_variation(d0) <= 1e-10
     assert (l1_distance(ut.profile, vt.profile, win)
             - l1_distance(u0, v0, win)) <= 1e-10
+    return ut, vt
+
+
+def test_many_jumps_keep_mass_variation_and_contraction():
+    ut, vt = _assert_mass_variation_and_contraction(*_many_jump_data())
+    assert ut.n_events > 1000 and vt.n_events > 1000
+
+
+def test_thousand_jumps_keep_mass_variation_and_contraction():
+    flux = pl_sample(burgers(), 512)
+    rng = np.random.default_rng(1000)
+    u0, v0 = _node_steps(flux, rng, 1000), _node_steps(flux, rng, 1000)
+    ut, vt = _assert_mass_variation_and_contraction(flux, u0, v0, 0.1)
+    assert ut.n_events > 50000 and vt.n_events > 50000
+    w0 = _node_steps(flux, rng, 200)
+    _assert_same_evolution(ft_evolve(flux, w0, 0.1),
+                           _array_loop_reference(flux, w0, 0.1))
