@@ -12,11 +12,11 @@ time ``t0``, it sits at ``x0 + speed * (t - t0)`` until it dies, so an
 event moves no other front.  The fronts form a list linked by ``prev``
 and ``next`` in position order, and a heap holds the collision time of
 each pair of neighbours that close in on each other.  A pair is pushed
-once, when the two become neighbours.  Its entry is stale once either
-front has died, and is skipped when popped, so stale pops never
-outnumber pushes; since new fronts reuse the slots of dead ones, an
-entry names its pair by the left front's slot and the serial numbers of
-both fronts.  An event pops the earliest valid pair, widens it to the
+once, when the two become neighbours.  New fronts are appended, never
+written over dead ones, and a dead front links to no successor, so an
+entry is stale exactly when its left front no longer links to its right
+one; stale entries are skipped when popped, so stale pops never
+outnumber pushes.  An event pops the earliest valid pair, widens it to the
 run of fronts within the position tolerance and splices the waves of one
 Riemann problem in place of that run, so it costs the size of the run
 and a heap operation per new pair, not the number of fronts.  Only the
@@ -26,23 +26,24 @@ the next events at the same time.  The total variation is updated by the
 change in the replaced jumps, and a budget on the event count turns a
 runaway loop into :class:`FrontTrackingError`.
 
-The waves of each Riemann problem are read straight off the flux
-envelope ``riemann._envelope``.  A jump with no flux node strictly
-between its states is a single chord shock, so the initial fronts of such
-jumps come from one array expression.
+The waves of each Riemann problem are the shock rows
+``riemann._shock_rows`` reads off the flux envelope.  A jump with no flux
+node strictly between its states is a single chord shock, so the initial
+fronts of such jumps come from one array expression,
+``riemann._chord_waves``.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 import numpy as np
 
 from .fluxes import PiecewiseLinearFlux
 from .pwfun import PiecewiseConstantFn, l1_distance
-from .riemann import _envelope
+from .riemann import _chord_waves, _shock_rows
 
 __all__ = [
     "FrontTrackingError",
@@ -92,37 +93,23 @@ def _project_values(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 def _waves(flux, uL: float, uR: float) -> tuple[list, list, list]:
     """Speeds, left and right states of the waves of ``uL | uR``."""
-    x, speeds = _envelope(flux, uL, uR)
-    if speeds.ndim == 2:
+    rows = _shock_rows(flux, uL, uR)
+    if rows is None:
         raise FrontTrackingError(
             "flux produced a rarefaction wave; front tracking needs a "
             "piecewise-linear or linear flux")
-    x, speeds = x.tolist(), speeds.tolist()
-    if uL > uR:  # falling data run down the cells
-        x, speeds = x[::-1], speeds[::-1]
-    return speeds, x[:-1], x[1:]
+    return rows
 
 
 def _initial_fronts(flux, xs: np.ndarray, vl: np.ndarray,
                     vr: np.ndarray) -> tuple[np.ndarray, ...]:
     """Columns ``(position, speed, left, right)`` of the waves of each jump.
 
-    On a node table a jump with no node strictly between its states is
-    one chord shock, whose speed ``(f(vr) - f(vl)) / (vr - vl)`` is the
-    envelope's (a level chord on falling data runs at ``-0.0``).  Only
-    the jumps that span a node, and every jump of a polynomial flux, are
-    solved one by one.
+    The chord shocks of jumps with no node inside come from one array
+    expression; only the other jumps are solved one by one.
     """
-    nodes = getattr(flux, "nodes", None)
-    if nodes is None:
-        spans = np.arange(xs.size)
-        s = np.empty(xs.size)  # every speed comes from a solve
-    else:
-        fl, fr = (np.interp(v, nodes, flux.flux_values) for v in (vl, vr))
-        s = (fr - fl) / (vr - vl)
-        lo, hi = np.minimum(vl, vr), np.maximum(vl, vr)
-        spans = np.flatnonzero(np.searchsorted(nodes, hi)
-                               > np.searchsorted(nodes, lo, side="right"))
+    s, spans = _chord_waves(flux, vl, vr)
+    spans = np.flatnonzero(spans)
     counts = np.ones(xs.size, dtype=int)
     fans = [_waves(flux, vl[k], vr[k]) for k in spans.tolist()]
     counts[spans] = [len(fan[0]) for fan in fans]
@@ -132,22 +119,6 @@ def _initial_fronts(flux, xs: np.ndarray, vl: np.ndarray,
         for c, w in zip(cols[1:], fan):
             c[k:k + len(w)] = w
     return tuple(cols)
-
-
-def _initial_heap(x: np.ndarray, s: np.ndarray, T: float) -> list:
-    """Heap of ``(time, slot, serial, serial)`` entries, one per closing pair.
-
-    An entry names a pair by the slot of its left front and the serial
-    numbers of both fronts.  At ``t = 0`` every front sits where it was
-    born and slots equal serials, so the collision times of all pairs come
-    from one array expression with the arithmetic of a single push.
-    """
-    a = np.flatnonzero(s[:-1] - s[1:] > _PARALLEL)
-    tc = np.maximum(x[a + 1] - x[a], 0.0) / (s[a] - s[a + 1])
-    a, tc = a[tc < T], tc[tc < T]
-    heap = list(zip(tc.tolist(), a.tolist(), a.tolist(), (a + 1).tolist()))
-    heapify(heap)
-    return heap
 
 
 def _profile_from(x: np.ndarray, right: np.ndarray, tail: float,
@@ -196,15 +167,11 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
     ids = np.arange(n, dtype=np.int64)
     prev, nxt = array("q", (ids - 1).tobytes()), array("q", (ids + 1).tobytes())
     if n:
-        nxt[-1] = -1  # past the last front, and on dead slots
+        nxt[-1] = -1  # past the last front, and on dead fronts
     head = 0 if n else -1
-    serial = array("q", ids.tobytes())
-    n_born = n
-    free: list[int] = []
     span = [abs(b) for b in (u0.support or (0.0, 0.0))]
     pos_tol = 1e-12 * (1.0 + max(span) + flux.lambda_hat * T)
-
-    heap = _initial_heap(cols[0], cols[1], T)
+    heap: list[tuple[float, int, int]] = []
 
     def push(a: int, b: int, t: float) -> None:
         closing = S[a] - S[b]
@@ -212,17 +179,18 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
             gap = X[b] + S[b] * (t - T0[b]) - (X[a] + S[a] * (t - T0[a]))
             tc = t + max(gap, 0.0) / closing
             if tc < T:
-                heappush(heap, (tc, a, serial[a], serial[b]))
+                heappush(heap, (tc, a, b))
 
+    for k in range(n - 1):
+        push(k, k + 1, 0.0)
     tv = float(np.sum(np.abs(cols[3] - cols[2])))
     tv_history = [(0.0, tv)]
     n_events = 0
     n_nodes = nodes.size if nodes is not None else 0
     max_events = 1000 + 4 * (n + n_nodes) ** 2
     while heap:
-        t, a, sa, sb = heappop(heap)
-        b = nxt[a]
-        if b < 0 or serial[a] != sa or serial[b] != sb:
+        t, a, b = heappop(heap)
+        if nxt[a] != b:
             continue  # stale: a front died, or the two are apart
         # widen the pair to the run i..j of fronts within pos_tol
         i, j = a, b
@@ -241,29 +209,24 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
                 break
             j = k
             xs.append(xk)
-        # free the run's slots and link its waves between p and q
+        # unlink the run and append its waves between p and q
         p, q = prev[i], nxt[j]
         speeds, lefts, rights = _waves(flux, L[i], R[j])
         old, k = 0.0, i
         while k != q:
             old += abs(R[k] - L[k])
-            free.append(k)
-            k = nxt[k]
-            nxt[free[-1]] = -1
+            dead, k = k, nxt[k]
+            nxt[dead] = -1
         tv += sum(abs(r - l) for l, r in zip(lefts, rights)) - old
-        x_bar = sum(xs) / len(xs)
-        links = [p]
-        for w in zip(speeds, lefts, rights):
-            if not free:
-                free.append(len(X))
-                for col in (X, T0, S, L, R, prev, nxt, serial):
-                    col.append(0)
-            k = free.pop()
-            X[k], T0[k], serial[k] = x_bar, t, n_born
-            S[k], L[k], R[k] = w
-            n_born += 1
-            links.append(k)
-        links.append(q)
+        m = len(speeds)
+        links = [p, *range(len(X), len(X) + m), q]
+        X.extend([sum(xs) / len(xs)] * m)
+        T0.extend([t] * m)
+        S.extend(speeds)
+        L.extend(lefts)
+        R.extend(rights)
+        prev.extend([0] * m)
+        nxt.extend([0] * m)
         for u, v in zip(links, links[1:]):
             if u < 0:
                 head = v

@@ -15,7 +15,10 @@ three flux classes solved exactly here:
 * any other piecewise-linear flux: the hull of the nodes between the two
   states, a fan of admissible jumps.
 
-``solve_riemann`` turns ``E'`` into waves.  The solution is monotone
+``solve_riemann`` turns ``E'`` into waves, by way of ``_shock_rows``,
+the ``(speed, left, right)`` rows that front tracking also reads;
+``_chord_waves`` gives the rows of many single-chord jumps in one array
+expression.  The solution is monotone
 between the two states, so the L1 gap between two fans is the area
 between their inverse graphs, ``t * TV(E_f - E_g)``, a finite sum that
 ``riemann_l1_diff`` reads off both envelopes without building a fan.
@@ -178,6 +181,43 @@ def _envelope(flux: AnyFlux, uL: float,
     return us, (fs[:-1] - fs[1:]) / (us[:-1] - us[1:])
 
 
+def _shock_rows(flux: AnyFlux, uL: float,
+                uR: float) -> tuple[list, list, list] | None:
+    """Speeds, left and right states of the shocks of ``uL | uR``.
+
+    The rows run in fan order; ``None`` stands for the rarefaction of a
+    convex polynomial on rising data.
+    """
+    x, speeds = _envelope(flux, uL, uR)
+    if speeds.ndim == 2:
+        return None
+    x, speeds = x.tolist(), speeds.tolist()
+    if uL > uR:  # falling data run down the cells
+        x, speeds = x[::-1], speeds[::-1]
+    return speeds, x[:-1], x[1:]
+
+
+def _chord_waves(flux: AnyFlux, uL: np.ndarray,
+                 uR: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chord speeds of many jumps ``uL | uR`` inside ``K``, and a mask.
+
+    A jump with no table node strictly between its states is one chord
+    shock, whose speed ``(f(uR) - f(uL)) / (uR - uL)`` is bit for bit the
+    one ``_envelope`` gives (a level chord on falling data runs at
+    ``-0.0``).  The mask marks the jumps this does not settle, whose
+    speeds are meaningless: those spanning a node, and every jump of a
+    polynomial flux.
+    """
+    if not isinstance(flux, PiecewiseLinearFlux):
+        return np.empty(uL.size), np.ones(uL.size, dtype=bool)
+    nodes = flux.nodes
+    fl, fr = (np.interp(u, nodes, flux.flux_values) for u in (uL, uR))
+    lo, hi = np.minimum(uL, uR), np.maximum(uL, uR)
+    spans = (np.searchsorted(nodes, hi)
+             > np.searchsorted(nodes, lo, side="right"))
+    return (fr - fl) / (uR - uL), spans
+
+
 def solve_riemann(flux: AnyFlux, uL: float, uR: float) -> RiemannFan:
     """Entropy solution of the single-jump problem ``uL | uR`` at the origin.
 
@@ -187,15 +227,12 @@ def solve_riemann(flux: AnyFlux, uL: float, uR: float) -> RiemannFan:
     ``UnsupportedFluxError``.
     """
     uL, uR = float(uL), float(uR)
-    x, speeds = _envelope(flux, uL, uR)
-    if speeds.ndim == 2:
+    rows = _shock_rows(flux, uL, uR)
+    if rows is None:
         return RiemannFan(uL, uR, (Rarefaction(
             float(flux.df(uL)), float(flux.df(uR)), flux.inverse_deriv,
             uL, uR),))
-    x, speeds = x.tolist(), speeds.tolist()
-    if uL > uR:  # falling data run down the cells
-        x, speeds = x[::-1], speeds[::-1]
-    return RiemannFan(uL, uR, tuple(map(Shock, speeds, x[:-1], x[1:])))
+    return RiemannFan(uL, uR, tuple(map(Shock, *rows)))
 
 
 def eval_fan(fan: RiemannFan, t: float, x):
