@@ -16,6 +16,9 @@ On either kind ``f'`` is a piecewise polynomial of degree at most three,
 which ``slope_pieces`` hands to the flux distances: the L1 gap of two
 Riemann solutions and ``max |f' - g'|`` both come from the difference of
 two such slopes, cut at its roots or at the roots of its derivative.
+Every such root, and the inverse of a convex flux's ``f'``, comes from
+one closed-form kernel, ``poly_roots``, for polynomials of degree at most
+three.
 """
 
 from __future__ import annotations
@@ -73,16 +76,86 @@ def _deriv(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
 
 
+def _quadratic(b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Real parts of the roots of ``u^2 + b u + c``: the root of larger size
+    adds terms of one sign and the other is ``c`` over it, so neither
+    cancels; a complex pair has real part ``-b/2``."""
+    h = -0.5 * b
+    d = h * h - c
+    big = h + np.copysign(np.sqrt(np.maximum(d, 0.0)), h)
+    small = c / np.where(big == 0.0, 1.0, big)  # big = 0 only for u^2
+    return np.where(d >= 0.0, big, h), np.where(d >= 0.0, small, h)
+
+
+def _cubic(c0, c1, c2, c3) -> tuple[np.ndarray, ...]:
+    """Real parts of the roots of ``c0 + c1 u + c2 u^2 + c3 u^3``, ``c3 != 0``.
+
+    One real root ``r`` comes from Cardano's formula when the discriminant
+    is nonnegative, else from the trigonometric form as the root of largest
+    size.  Dividing out ``u - r`` leaves a quadratic; the division runs
+    from the constant term when ``r`` is the largest root and from the
+    leading term otherwise, the stable order either way, and then ``-c``
+    over the product of the other two roots gives ``r`` to full relative
+    accuracy, the root 0 of ``c0 = 0`` exactly.
+    """
+    a, b, c = c2 / c3, c1 / c3, c0 / c3
+    shift = a / 3.0  # u = t - shift turns the cubic into t^3 + 3 p t + 2 q
+    p = b / 3.0 - shift * shift
+    q = 0.5 * ((2.0 * shift * shift - b) * shift + c)
+    disc = q * q + p * p * p
+    w = np.cbrt(-q - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
+    t = w - p / np.where(w == 0.0, 1.0, w)  # w = 0 only when p = q = 0
+    if (trig := disc < 0.0).any():
+        # three real roots 2 m cos(phi - 2 pi k / 3): k = 0 or 2 is the
+        # largest after the shift
+        m = np.sqrt(-p[trig])
+        phi = np.arccos(np.clip(-q[trig] / (m * m * m), -1.0, 1.0)) / 3.0
+        t0, t2 = 2.0 * m * np.cos(phi), 2.0 * m * np.cos(phi + 2.0 * np.pi / 3.0)
+        s = shift[trig]
+        t[trig] = np.where(np.abs(t0 - s) >= np.abs(t2 - s), t0, t2)
+    r = t - shift
+    prod = b + r * (a + r)  # of the other two roots, from the leading term
+    back = r * r > np.abs(prod)
+    d = np.where(back, r, prod)
+    d[d == 0.0] = 1.0  # only where r = b = c = 0
+    ratio = -c / d
+    r = np.where(back, r, ratio)
+    prod = np.where(back, ratio, prod)
+    return (r, *_quadratic(np.where(back, (prod - b) / d, a + r), prod))
+
+
+_SOLVERS = {1: lambda c0, c1: [-c0 / c1],
+            2: lambda c0, c1, c2: _quadratic(c1 / c2, c0 / c2), 3: _cubic}
+
+
+def poly_roots(rows) -> np.ndarray:
+    """Real parts of the roots of each row ``c0 + c1 u + c2 u^2 + c3 u^3``.
+
+    ``rows`` holds at most four power-series coefficients a row.  Returns
+    an ``(n, columns - 1)`` array: all roots of each row, repeated ones
+    repeated and complex ones by their real part, then NaN past the row's
+    true degree, which its last nonzero coefficient sets.  The rows of one
+    true degree go through one closed form together: ``-c0/c1``,
+    ``_quadratic`` or ``_cubic``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, m = rows.shape
+    out = np.full((m - 1, n), np.nan)
+    higher = np.zeros(n, dtype=bool)
+    for d in range(m - 1, 0, -1):
+        top = (rows[:, d] != 0.0) & ~higher
+        higher |= top
+        if count := np.count_nonzero(top):
+            k = slice(None) if count == n else top
+            out[:d, k] = _SOLVERS[d](*rows[k, :d + 1].T)
+    return out.T
+
+
 def _extreme_candidates(c, lo: float, hi: float) -> np.ndarray:
     """The ends of ``[lo, hi]`` and the real parts of the roots of the
-    derivative of ``c`` inside it.
-
-    A superset of the points where the polynomial ``c`` takes its extremes
-    on the interval, so the min or max over it is exact.
-    """
-    if len(c) < 3:  # the derivative is constant
-        return np.array([lo, hi])
-    r = np.roots(_deriv(c)[::-1]).real
+    derivative of ``c`` inside it: a superset of the points where the
+    polynomial ``c`` takes its extremes on the interval."""
+    r = poly_roots(_deriv(c)[None])[0]
     return np.concatenate([[lo, hi], r[(r > lo) & (r < hi)]])
 
 
@@ -144,45 +217,27 @@ class ScalarFlux:
     def diam_K(self) -> float:
         return self.K[1] - self.K[0]
 
-    def df_inv(self, s):
-        """Root ``u`` of ``f'(u) = s`` for a uniformly convex flux.
+    def inverse_deriv(self, s):
+        """Inverse of ``df`` on ``df(K)``, clamped to ``K`` outside.
 
-        Closed form for a quadratic; otherwise a bracketed Newton solve on
-        ``K`` that has converged once every update is within two ulp of
-        K's scale, with 80 sweeps as the budget.  Slopes at or beyond
-        ``f'(lo)`` or ``f'(hi)`` start at that end with a collapsed
-        bracket, since Newton would overshoot the end and leave the root
-        to bisection.
+        For ``s`` in ``df(K)``, ``f'(u) = s`` has exactly one root in
+        ``K``, where ``f'`` increases.  It is the root from ``poly_roots``,
+        clipped to ``K``, with the least residual ``f'(u) - s``, moved by
+        ``-(f'(u) - s) / f''(u)`` once and clipped to ``K`` again.
         """
         if self.kappa <= 0.0:
             raise ValueError(f"flux {self.name!r} has no invertible derivative")
         s = np.asarray(s, dtype=float)
-        if self.degree == 2:
-            return (s - self.coeffs[1]) / (2.0 * self.coeffs[2])
         lo, hi = self.K
-        u_tol = 2.0 * np.spacing(max(abs(lo), abs(hi)))
-        a = np.where(s >= self.df(hi), hi, lo)
-        b = np.where(s <= self.df(lo), lo, hi)
-        u = 0.5 * (a + b)
-        for _ in range(80):
-            g = self.df(u) - s
-            a = np.where(g < 0.0, u, a)
-            b = np.where(g > 0.0, u, b)
-            u_new = u - g / np.maximum(self.d2f(u), self.kappa)
-            bad = (u_new < a) | (u_new > b)
-            u_new = np.where(bad, 0.5 * (a + b), u_new)
-            done = np.all(np.abs(u_new - u) <= u_tol)
-            u = u_new
-            if done:
-                break
-        return u
-
-    def inverse_deriv(self, s):
-        """Inverse of ``df`` on ``df(K)``, clamped to ``K`` outside."""
-        s = np.asarray(s, dtype=float)
-        lo, hi = self.K
-        s_cl = np.clip(s, self.df(lo), self.df(hi))
-        return np.clip(self.df_inv(s_cl), lo, hi)
+        s_cl = np.clip(s, self.df(lo), self.df(hi)).ravel()
+        rows = np.tile(self.slope_coeffs, (s_cl.size, 1))
+        rows[:, 0] -= s_cl
+        u = np.clip(poly_roots(rows).T, lo, hi)
+        g = self.df(u) - s_cl
+        u -= g / self.d2f(u)
+        g = np.abs(g)  # NaN past the degree is never the least
+        u = np.max(np.where(g == np.fmin.reduce(g, axis=0), u, -np.inf), axis=0)
+        return np.clip(u.reshape(s.shape), lo, hi)
 
     def legendre(self, s):
         """Legendre transform ``max_{u in K} (s*u - f(u))``.
@@ -349,17 +404,11 @@ def refine(x: np.ndarray, rows: np.ndarray,
 
 
 def roots_in_cells(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Real parts of the roots of each row strictly inside its cell.
-
-    Complex roots are kept by their real part: an extra cut point spoils
-    neither a variation summed over monotone pieces nor a maximum taken
-    over cell ends.
-    """
-    out = [np.empty(0)]
-    for k in np.flatnonzero(np.any(rows[:, 1:] != 0.0, axis=1)):
-        r = np.roots(rows[k][::-1]).real
-        out.append(r[(r > x[k]) & (r < x[k + 1])])
-    return np.concatenate(out)
+    """Real parts of the roots of each row strictly inside its cell, from
+    one ``poly_roots`` call.  A complex root's real part spoils neither a
+    variation summed over monotone pieces nor a maximum over cell ends."""
+    r = poly_roots(rows)
+    return r[(r > x[:-1, None]) & (r < x[1:, None])]
 
 
 # -- name registry for config files / CLI ----------------------------------

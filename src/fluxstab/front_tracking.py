@@ -144,8 +144,10 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
     resolves the run as one Riemann problem at its mean position; only the
     new waves and their two outer neighbours get heap entries.  Raises
     :class:`FrontTrackingError` when a rarefaction fan forms or the event
-    budget ``1000 + 4 (fronts + nodes)^2`` is exhausted; the latter
-    signals an internal error rather than bad input.
+    budget ``1000 + 4 (J + N)^2`` for ``J`` jumps and ``N`` nodes runs out,
+    an internal error rather than bad input: on a convex table an event
+    leaves fewer fronts than it removes, so the events number fewer than
+    the initial fronts, at most ``J N``.
     """
     if u0.dim != 1:
         raise ValueError("front tracking needs scalar data")
@@ -187,7 +189,7 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
     tv_history = [(0.0, tv)]
     n_events = 0
     n_nodes = nodes.size if nodes is not None else 0
-    max_events = 1000 + 4 * (n + n_nodes) ** 2
+    max_events = 1000 + 4 * (int(np.count_nonzero(jump)) + n_nodes) ** 2
     while heap:
         t, a, b = heappop(heap)
         if nxt[a] != b:

@@ -14,9 +14,9 @@ from typing import Callable
 import numpy as np
 
 from .front_tracking import ft_evolve, evolution_window
-from .fluxes import (PiecewiseLinearFlux, burgers, convex_poly, eval_rows,
-                     linear_flux, pl_sample, refine, roots_in_cells,
-                     scaled_burgers, slope_gap, slope_pieces, tilted_burgers)
+from .fluxes import (_rows_at, burgers, convex_poly, eval_rows, linear_flux,
+                     pl_sample, refine, roots_in_cells, scaled_burgers,
+                     slope_gap, slope_pieces, tilted_burgers)
 from .pwfun import PiecewiseConstantFn, l1_distance
 from .riemann import FluxDistanceReport, RiemannSampler, hat_d_estimate
 
@@ -37,11 +37,7 @@ __all__ = [
 
 def _slopes_at(flux, xs: np.ndarray) -> np.ndarray:
     """Derivative values at points that avoid kinks of piecewise fluxes."""
-    if isinstance(flux, PiecewiseLinearFlux):
-        idx = np.clip(np.searchsorted(flux.nodes, xs, side="right") - 1,
-                      0, flux.slopes.size - 1)
-        return flux.slopes[idx]
-    return np.asarray(flux.df(xs), dtype=float)
+    return eval_rows(_rows_at(*slope_pieces(flux), xs), xs)
 
 
 def deriv_gap_sup(flux_f, flux_g) -> float:

@@ -36,8 +36,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .fluxes import (MAX_DEGREE, PiecewiseLinearFlux, ScalarFlux, eval_rows,
-                     refine, roots_in_cells, slope_gap, slope_pieces)
+from .fluxes import (MAX_DEGREE, PiecewiseLinearFlux, ScalarFlux,
+                     _extreme_candidates, eval_rows, refine, roots_in_cells,
+                     slope_gap, slope_pieces)
 
 __all__ = [
     "Shock",
@@ -411,8 +412,7 @@ def validate_fan(fan: RiemannFan, flux: AnyFlux, tol: float = 1e-9) -> None:
                 # (f(w) - f(u-)) / (w - u-) by synthetic division, highest
                 # power first: nothing cancels near u-
                 q = np.polydiv(flux.coeffs[::-1], [1.0, -w.left])[0]
-                r = np.roots(np.polyder(q)).real
-                cands = np.concatenate([[lo, hi], r[(r > lo) & (r < hi)]])
+                cands = _extreme_candidates(q[::-1], lo, hi)
                 chords, slack = np.polyval(q, cands), 1e-7
             assert np.all(chords >= w.speed - slack * (1.0 + abs(w.speed))), (
                 "inadmissible jump")

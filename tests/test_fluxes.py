@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from fluxstab import (PiecewiseLinearFlux, ScalarFlux, burgers, convex_poly,
-                      linear_flux, make_flux, pl_sample, scaled_burgers,
-                      tilted_burgers)
+from fluxstab import (PiecewiseLinearFlux, ScalarFlux, bundled_pairs, burgers,
+                      convex_poly, linear_flux, make_flux, pl_sample,
+                      scaled_burgers, tilted_burgers)
+from fluxstab.fluxes import (_deriv, horner, poly_roots, roots_in_cells,
+                             slope_gap, slope_pieces)
 
 ALL_SMOOTH = [
     burgers(),
@@ -102,18 +104,18 @@ def _newton_80_sweeps(flux, s):
                          ids=lambda f: f.name + str(f.K))
 def test_convex_poly_df_inv_matches_full_sweeps(flux):
     s = flux.df(np.linspace(*flux.K, 4097))
-    u = flux.df_inv(s)
+    u = flux.inverse_deriv(s)
     assert np.max(np.abs(flux.df(u) - s)) <= 1e-12
     np.testing.assert_allclose(u, _newton_80_sweeps(flux, s),
                                atol=1e-15, rtol=0.0)
     # scalar calls take the same path
-    assert float(flux.df_inv(s[1000])) == pytest.approx(u[1000], abs=1e-15)
+    assert float(flux.inverse_deriv(s[1000])) == pytest.approx(u[1000], abs=1e-15)
 
 
 @pytest.mark.parametrize("grid", ["states", "slopes"])
 def test_convex_poly_df_inv_batch_converges_in_few_sweeps(grid, monkeypatch):
-    # a Newton step that lands on the bracket end it has just set is a
-    # converged lane; bisecting it away stalls the whole batch
+    # f'' is evaluated once per Newton step over the batch, and the
+    # closed form is polished by exactly one step
     flux = convex_poly(0.5, 0.0, 0.25)
     lo, hi = flux.K
     if grid == "states":
@@ -124,8 +126,8 @@ def test_convex_poly_df_inv_batch_converges_in_few_sweeps(grid, monkeypatch):
     d2f = ScalarFlux.d2f
     monkeypatch.setattr(ScalarFlux, "d2f",
                         lambda self, u: sweeps.append(1) or d2f(self, u))
-    u = flux.df_inv(s)
-    assert len(sweeps) <= 12
+    u = flux.inverse_deriv(s)
+    assert len(sweeps) == 1
     assert np.max(np.abs(flux.df(u) - s)) <= 1e-12
 
 
@@ -135,9 +137,166 @@ def test_convex_poly_df_inv_batch_converges_in_few_sweeps(grid, monkeypatch):
 def test_convex_poly_df_inv_pins_roots_at_the_ends(flux):
     lo, hi = flux.K
     s_lo, s_hi = float(flux.df(lo)), float(flux.df(hi))
-    got = flux.df_inv(np.array([s_lo - 1.0, s_lo, s_hi, s_hi + 1.0]))
+    got = flux.inverse_deriv(np.array([s_lo - 1.0, s_lo, s_hi, s_hi + 1.0]))
     np.testing.assert_array_equal(got, [lo, lo, hi, hi])
-    assert float(flux.df_inv(s_hi)) == hi
+    assert float(flux.inverse_deriv(s_hi)) == hi
+
+
+def test_inverse_deriv_takes_0d_input():
+    flux = convex_poly(0.5, 0.0, 0.25)
+    got = flux.inverse_deriv(0.3)
+    assert np.shape(got) == ()
+    assert got == flux.inverse_deriv(np.array([0.3]))[0]
+    assert abs(float(flux.df(got)) - 0.3) <= 1e-15
+
+
+# -- the closed-form root kernel against np.roots --------------------------------
+
+def np_roots_in_cells(x, rows):
+    """The ``np.roots`` loop the kernel replaced: one call per cell."""
+    out = [np.empty(0)]
+    for k in np.flatnonzero(np.any(rows[:, 1:] != 0.0, axis=1)):
+        r = np.roots(rows[k][::-1]).real
+        out.append(r[(r > x[k]) & (r < x[k + 1])])
+    return np.concatenate(out)
+
+
+def _np_real_roots(row):
+    return np.sort(np.roots(np.asarray(row, dtype=float)[::-1]).real)
+
+
+def _kernel_roots(row):
+    r = poly_roots(np.array([row], dtype=float))[0]
+    return np.sort(r[~np.isnan(r)])
+
+
+def test_poly_roots_match_np_roots_on_random_rows():
+    rng = np.random.default_rng(11)
+    rows = np.zeros((9000, 4))
+    deg = rng.integers(1, 4, 9000)
+    for d in (1, 2, 3):
+        k = deg == d
+        rows[k, :d + 1] = rng.normal(size=(np.count_nonzero(k), d + 1))
+    got = poly_roots(rows)
+    for row, d, r in zip(rows, deg, got):
+        assert np.all(np.isnan(r[d:])) and not np.any(np.isnan(r[:d]))
+        want = _np_real_roots(row)
+        assert np.max(np.abs(np.sort(r[:d]) - want)) <= (
+            5e-12 * np.max(np.abs(want)))
+
+
+def _newton_long(row, r):
+    """Simple real roots ``r`` refined by Newton steps in extended precision."""
+    c = np.asarray(row, dtype=np.longdouble)
+    d = c[1:] * np.arange(1, len(c))
+    r = np.asarray(r, dtype=np.longdouble)
+    for _ in range(4):
+        r = r - np.polyval(c[::-1], r) / np.polyval(d[::-1], r)
+    return r
+
+
+def test_poly_roots_tiny_cubic_coefficient():
+    # the far root -c2/c3 leaves the cell; the two in it are those of the
+    # quadratic part, whose relative accuracy the division must keep
+    x = np.array([-1.0, 0.0, 1.0])
+    rows = np.array([[-0.25, 0.0, 1.0, 1e-12], [0.02, -0.3, 1.0, -1e-12]])
+    got = roots_in_cells(x, rows)
+    want = np_roots_in_cells(x, rows)
+    assert got.size == want.size == 3
+    exact = np.concatenate([_newton_long(rows[0], got[:1]),
+                            _newton_long(rows[1], got[1:])])
+    np.testing.assert_allclose(got, exact.astype(float), rtol=1e-15)
+    # np.roots balances a companion matrix spanning 12 decades and moves
+    # the root near -1/2 by 8e-10; the other two it finds to 1e-12
+    np.testing.assert_allclose(np.sort(got[1:]), np.sort(want[1:]), rtol=1e-12)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-8)
+
+
+def test_poly_roots_triple_root_of_bundled_pair():
+    e = next(e for e in bundled_pairs() if e["name"] == "quartic-vs-quadratic")
+    x, gap = slope_gap(slope_pieces(e["f"]), slope_pieces(e["g"]))
+    np.testing.assert_array_equal(gap, [[0.0, 0.0, 0.0, 1.0]])  # u^3
+    assert np.all(poly_roots(gap) == 0.0)
+    np.testing.assert_array_equal(roots_in_cells(x, gap),
+                                  np_roots_in_cells(x, gap))
+
+
+def test_poly_roots_double_root_of_curvature_at_an_end():
+    # f'' = (u - 1)^2 on K = [-1, 1]: f'' vanishes, doubly, at the right end
+    c = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / 12.0 + [0.0, 0.5, 0.0, 0.0, 0.0]
+    f = ScalarFlux("end-flat", tuple(c), (-1.0, 1.0))
+    np.testing.assert_array_equal(f._d2, [1.0, -2.0, 1.0])
+    np.testing.assert_array_equal(_kernel_roots(f._d2), [1.0, 1.0])
+    # np.roots splits a double root by about sqrt(eps)
+    np.testing.assert_allclose(_np_real_roots(f._d2), [1.0, 1.0], atol=1e-7)
+    assert f.kappa == 0.0
+    assert repr(f.lambda_hat) == repr(_np_certificates(f)[1])
+
+
+def test_poly_roots_zero_discriminant():
+    # (u - 1)^2 (u + 2) and (u + 2)^2 (u - 1): exact, where np.roots
+    # splits the double root
+    np.testing.assert_array_equal(_kernel_roots([2.0, -3.0, 0.0, 1.0]),
+                                  [-2.0, 1.0, 1.0])
+    np.testing.assert_array_equal(_kernel_roots([-4.0, 0.0, 3.0, 1.0]),
+                                  [-2.0, -2.0, 1.0])
+    for row in ([2.0, -3.0, 0.0, 1.0], [-4.0, 0.0, 3.0, 1.0], [1.0, -2.0, 1.0]):
+        np.testing.assert_allclose(_kernel_roots(row), _np_real_roots(row),
+                                   atol=1e-7)
+
+
+@pytest.mark.parametrize("row", [[0.0, 1.0, 1.0, 1.0], [0.0, -2.0, 0.0, 1.0],
+                                 [0.0, 0.0, 1.0, 1.0], [0.0, -1.0, 1.0],
+                                 [0.0, 3.0]])
+def test_poly_roots_zero_constant_gives_an_exact_zero(row):
+    # np.roots strips the trailing zero and returns the root 0 exactly
+    got, want = _kernel_roots(row), _np_real_roots(row)
+    assert np.count_nonzero(got == 0.0) == np.count_nonzero(want == 0.0) >= 1
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-300)
+
+
+def test_poly_roots_lower_true_degree():
+    rows = np.array([[0.5, 2.0, 0.0, 0.0], [0.5, 2.0, -3.0, 0.0],
+                     [5.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                     [1.0, -1.0, 0.0, 2.0]])
+    got = poly_roots(rows)
+    np.testing.assert_array_equal(np.isnan(got), [[0, 1, 1], [0, 0, 1],
+                                                  [1, 1, 1], [1, 1, 1],
+                                                  [0, 0, 0]])
+    assert got[0, 0] == -0.25
+    for row, r in zip(rows[[1, 4]], got[[1, 4]]):
+        np.testing.assert_allclose(np.sort(r[~np.isnan(r)]),
+                                   _np_real_roots(row), rtol=1e-15)
+    # fewer columns give fewer root columns, and a constant gives none
+    assert poly_roots(rows[:, :2]).shape == (5, 1)
+    assert poly_roots(rows[:, :1]).shape == (5, 0)
+    np.testing.assert_array_equal(roots_in_cells(np.array([-1.0, 1.0]),
+                                                 rows[2:4, :]), [])
+
+
+def _np_certificates(flux):
+    """``kappa`` and ``lambda_hat`` from ``np.roots`` extreme candidates."""
+    lo, hi = flux.K
+
+    def cands(c):
+        if len(c) < 3:
+            return np.array([lo, hi])
+        r = np.roots(_deriv(c)[::-1]).real
+        return np.concatenate([[lo, hi], r[(r > lo) & (r < hi)]])
+
+    d1 = _deriv(np.array(flux.coeffs))
+    d2 = _deriv(d1)
+    kap = float(np.min(horner(d2, cands(d2))))
+    return max(0.0, kap), float(np.max(np.abs(horner(d1, cands(d1)))))
+
+
+@pytest.mark.parametrize("flux", ALL_SMOOTH + [
+    e[k] for e in bundled_pairs() for k in ("f", "g")] + [
+    convex_poly(0.5, 0.1, 0.25), convex_poly(0.1, 0.5, 0.0),
+    ScalarFlux("cubic", (0.0, 1.0, 0.0, 1.0 / 3.0), (-1.0, 2.0))],
+    ids=lambda f: f.name + str(f.K))
+def test_certificates_match_np_roots_reference(flux):
+    assert repr((flux.kappa, flux.lambda_hat)) == repr(_np_certificates(flux))
 
 
 def test_inverse_deriv_clamps_outside_range():

@@ -1,5 +1,7 @@
 """Event-driven evolution: exact collisions, variation bookkeeping."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fluxstab import (FrontTrackingError, PiecewiseConstantFn,
                       semigroup_l1_diff, total_variation)
 from fluxstab.front_tracking import (_PARALLEL, FrontTrackingState,
                                      _profile_from, _project_values)
+from fluxstab import front_tracking
 from fluxstab.metrics import bundled_pairs
 from fluxstab.riemann import Shock, solve_riemann
 
@@ -496,3 +499,23 @@ def test_thousand_jumps_keep_mass_variation_and_contraction():
     w0 = _node_steps(flux, rng, 200)
     _assert_same_evolution(ft_evolve(flux, w0, 0.1),
                            _array_loop_reference(flux, w0, 0.1))
+
+
+def test_event_budget_binds_on_a_runaway_loop(monkeypatch):
+    # waves that cross at birth collide again at once, forever; the budget
+    # counts the datum's jumps and the table's nodes, not the fronts
+    def crossing(flux, uL, uR):
+        mid = 0.5 * (uL + uR)
+        return [1.0, -1.0], [uL, mid], [mid, uR]
+
+    monkeypatch.setattr(front_tracking, "_waves", crossing)
+    flux = pl_sample(burgers(), 64)
+    rng = np.random.default_rng(8)
+    rising = np.sort(rng.choice(flux.nodes, 51, replace=False))  # 50 jumps
+    u0 = PiecewiseConstantFn(np.sort(rng.uniform(-1.0, 1.0, 50)),
+                             rising[:, None])
+    start = time.perf_counter()
+    with pytest.raises(FrontTrackingError,
+                       match=rf"\({1000 + 4 * (50 + 65) ** 2 + 1} events"):
+        ft_evolve(flux, u0, 1.0)
+    assert time.perf_counter() - start < 20.0

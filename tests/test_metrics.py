@@ -9,9 +9,11 @@ from fluxstab import (PiecewiseConstantFn, PiecewiseLinearFlux,
                       ft_evolve, lerrest_diagnostic, linear_flux, pl_sample,
                       scaled_burgers, stability_suite, sup_location,
                       tilted_burgers)
+from fluxstab import metrics
 from fluxstab.linear_hd import hat_d_lin
 from fluxstab.metrics import _slopes_at
 from fluxstab.riemann import FluxDistanceReport
+from test_fluxes import np_roots_in_cells
 
 
 def pulse():
@@ -50,6 +52,18 @@ def test_deriv_gap_mixed_pl_and_smooth():
     # staircase slopes sit half a cell off the true derivative, which
     # reaches them at every node, from within the cell
     assert got == pytest.approx(1.0 / 64, abs=1e-14)
+
+
+def test_deriv_gap_matches_np_roots_path(monkeypatch):
+    # the closed-form root kernel against the np.roots loop it replaced
+    bundled = [(e["f"], e["g"]) for e in bundled_pairs()]
+    mixed = [(f, pl_sample(f, 128)) for f in
+             (burgers(), convex_poly(0.5, 0.1, 0.0), convex_poly(0.5, 0.0, 0.25))]
+    got = [deriv_gap_sup(f, g) for f, g in bundled + mixed]
+    monkeypatch.setattr(metrics, "roots_in_cells", np_roots_in_cells)
+    want = [deriv_gap_sup(f, g) for f, g in bundled + mixed]
+    assert list(map(repr, got[:6])) == list(map(repr, want[:6]))
+    np.testing.assert_allclose(got[6:], want[6:], rtol=1e-12, atol=0.0)
 
 
 def test_deriv_gap_requires_shared_span():

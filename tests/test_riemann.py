@@ -14,6 +14,7 @@ from fluxstab import riemann
 from fluxstab.fluxes import (MAX_DEGREE, eval_rows, refine, roots_in_cells,
                              slope_gap)
 from fluxstab.riemann import RiemannFan, _lower_hull
+from test_fluxes import np_roots_in_cells
 
 
 def test_burgers_shock():
@@ -425,6 +426,27 @@ def test_l1_diff_matches_gauss_sum_over_fans():
         for (uL, uR), t in zip(data, rng.choice([0.5, 1.0, 1.7], 40)):
             assert repr(riemann_l1_diff(f, g, uL, uR, t)) == repr(
                 _reference_l1_diff(f, g, uL, uR, t))
+
+
+def test_l1_diff_matches_np_roots_path(monkeypatch):
+    # the closed-form root kernel against the np.roots loop it replaced:
+    # the same bits on the bundled pairs, 1e-12 on a polynomial against
+    # its own table, where every cell carries the polynomial's terms
+    jumps = np.random.default_rng(23).uniform(-1.0, 1.0, size=(200, 2))
+    bundled = [(e["f"], e["g"]) for e in bundled_pairs()]
+    mixed = [(f, pl_sample(f, 128)) for f in
+             (burgers(), convex_poly(0.5, 0.1, 0.0), convex_poly(0.5, 0.0, 0.25))]
+    mixed += [(g, f) for f, g in mixed]
+
+    def gaps():
+        return [[riemann_l1_diff(f, g, a, b) for a, b in jumps]
+                for f, g in bundled + mixed]
+
+    got = gaps()
+    monkeypatch.setattr(riemann, "roots_in_cells", np_roots_in_cells)
+    want = gaps()
+    assert list(map(repr, got[:6])) == list(map(repr, want[:6]))
+    np.testing.assert_allclose(got[6:], want[6:], rtol=1e-12, atol=0.0)
 
 
 def test_l1_diff_zero_for_equal_data():
