@@ -65,23 +65,27 @@ class FrontTrackingState:
     """Snapshot of a tracked solution.
 
     ``fronts`` holds ``(position, speed, left, right)`` rows sorted by
-    position; ``tv_history`` holds ``(time, total_variation)`` pairs, one
-    entry at time zero plus one after every resolved collision group, so
-    times repeat when groups meet at the same instant and the exact time
-    integral of TV is a finite sum.
+    position; ``tv_history`` is an ``(n, 2)`` array of ``(time,
+    total_variation)`` rows, one at time zero plus one after every
+    resolved collision group, so times repeat when groups meet at the same
+    instant and the exact time integral of TV is a finite sum.
     """
 
     time: float
     profile: PiecewiseConstantFn
     fronts: tuple
-    tv_history: tuple
+    tv_history: np.ndarray
     n_events: int
 
     def tv_time_integral(self) -> float:
-        """Exact value of the integral of TV(solution) over [0, time]."""
-        ts = [t for t, _ in self.tv_history] + [self.time]
-        tvs = [tv for _, tv in self.tv_history]
-        return float(sum(tv * (t1 - t0) for tv, t0, t1 in zip(tvs, ts, ts[1:])))
+        """Exact value of the integral of TV(solution) over [0, time].
+
+        The terms are added one by one in time order, by ``sum`` rather
+        than the pairwise ``np.sum``, so printed integrals do not depend on
+        numpy's summation order.
+        """
+        t, tv = np.asarray(self.tv_history, dtype=float).T
+        return float(sum((tv * (np.append(t[1:], self.time) - t)).tolist()))
 
 
 def _project_values(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -186,7 +190,7 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
     for k in range(n - 1):
         push(k, k + 1, 0.0)
     tv = float(np.sum(np.abs(cols[3] - cols[2])))
-    tv_history = [(0.0, tv)]
+    tv_times, tvs = array("d", [0.0]), array("d", [tv])
     n_events = 0
     n_nodes = nodes.size if nodes is not None else 0
     max_events = 1000 + 4 * (int(np.count_nonzero(jump)) + n_nodes) ** 2
@@ -239,7 +243,8 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
                 if u >= 0:
                     push(u, v, t)
         n_events += 1
-        tv_history.append((t, tv))
+        tv_times.append(t)
+        tvs.append(tv)
         if n_events > max_events:
             raise FrontTrackingError(
                 f"event budget exhausted ({n_events} events)")
@@ -257,7 +262,8 @@ def ft_evolve(flux: PiecewiseLinearFlux, u0: PiecewiseConstantFn,
         profile=_profile_from(x, right, tail, pos_tol),
         fronts=tuple(zip(x.tolist(), s.tolist(), left.tolist(),
                          right.tolist())),
-        tv_history=tuple(tv_history),
+        tv_history=np.column_stack([np.frombuffer(tv_times),
+                                    np.frombuffer(tvs)]),
         n_events=n_events,
     )
 

@@ -7,9 +7,9 @@ import pytest
 from scipy.optimize import brentq
 
 from fluxstab import (AdmissibilityError, classical_euler,
-                      classical_limit_experiment, fv_evolve, jacobian_gap,
-                      l1_state_distance, phi_factor, recover_velocity,
-                      relativistic_euler, riemann_grid)
+                      classical_limit_experiment, euler, fv_evolve,
+                      jacobian_gap, l1_state_distance, phi_factor,
+                      recover_velocity, relativistic_euler, riemann_grid)
 from fluxstab.euler import DEFAULT_EULER_BOX, GridSolution
 
 
@@ -388,6 +388,61 @@ def test_fv_evolve_matches_reference_loop(system, datum, N, T):
         assert got.time == T
 
 
+def _window_data(N=200):
+    """Data at the active window's edges, by name."""
+    flat = np.tile([1.5, 0.0], (N, 1))
+    ends = flat.copy()  # the window touches both ghosts at t = 0
+    ends[0], ends[-1] = [2.0, 0.3], [1.0, -0.2]
+    two = flat.copy()  # a long constant stretch between two jumps
+    two[:N // 10], two[-N // 10:] = [2.0, 0.0], [1.0, 0.5]
+    signed = flat.copy()  # halves differ only in the sign of a zero
+    signed[N // 2:, 1] = -0.0
+    return {"end-jumps": ends, "constant": flat, "two-jumps": two,
+            "signed-zero": signed}
+
+
+_WINDOW_DATA = _window_data()
+# F = U carries a zero momentum's sign across a face: a -0.0 cell next
+# to a 0.0 cell turns into 0.0, which the Euler fluxes never do
+_ADVECTION = dataclasses.replace(classical_euler(), name="advection",
+                                 flux=lambda U: 1.0 * U)
+
+
+@pytest.mark.parametrize("system", [classical_euler(), relativistic_euler(8.0),
+                                    _ADVECTION],
+                         ids=["classical", "c=8", "advection"])
+@pytest.mark.parametrize("name", list(_WINDOW_DATA))
+def test_window_edges_match_reference_bytes(system, name):
+    # tobytes, since array_equal takes -0.0 for 0.0
+    datum = _WINDOW_DATA[name]
+    got = fv_evolve(system, datum, -1.0, 1.0, 200, 0.12)
+    want = _reference_fv_evolve(system, datum, -1.0, 1.0, 200, 0.12)
+    assert got.U.tobytes() == want.U.tobytes()
+    assert (got.conservation_residual.tobytes()
+            == want.conservation_residual.tobytes())
+    assert got.n_steps == want.n_steps > 0
+    if name == "constant":
+        assert got.U.tobytes() == datum.tobytes()
+        assert got.conservation_residual.tobytes() == bytes(16)
+
+
+def test_limit_experiment_evolves_through_the_module_attribute(monkeypatch):
+    # the benchmark wraps euler.fv_evolve to read each run's conservation
+    # residual, so every run must go through that name, one call a run
+    calls = []
+    evolve = euler.fv_evolve
+
+    def counting(*args, **kwargs):
+        sol = evolve(*args, **kwargs)
+        calls.append(sol)
+        return sol
+
+    monkeypatch.setattr(euler, "fv_evolve", counting)
+    classical_limit_experiment([8.0, 16.0, 32.0], N=400)
+    assert len(calls) == 4
+    assert all(isinstance(sol, GridSolution) for sol in calls)
+
+
 def test_fv_evolve_truncates_the_last_step():
     cl = classical_euler()
     sol = fv_evolve(cl, _wavy_datum(401), -1.0, 1.0, 401, 0.137)
@@ -429,16 +484,15 @@ def test_density_at_the_floor_names_its_cell():
 
 
 def test_non_finite_momentum_mid_run_raises_as_reference():
-    # the momentum flux of one cell turns infinite once the shock has
-    # raised its density; the density stays finite for that step, so only
-    # the sum over all entries can see the bad momenta
+    # the momentum flux turns infinite on the densities only the states
+    # behind the shock reach; the flux stays row-local, and the density
+    # stays finite for that step, so only the sum over all entries can see
+    # the bad momenta
     classical = classical_euler()
-    row = 40  # cell 39 of the padded array; cell 38 goes bad first
 
     def flux(U):
         F = classical.flux(U)
-        if U[row, 0] > 1.2:
-            F[row, 1] = np.inf
+        F[(U[:, 0] > 1.2) & (U[:, 0] < 1.9), 1] = np.inf
         return F
 
     system = dataclasses.replace(classical, flux=flux)
@@ -447,7 +501,7 @@ def test_non_finite_momentum_mid_run_raises_as_reference():
     with np.errstate(invalid="ignore"):
         message = _both_raise(system, U0, 0.5)
     assert "t=0," not in message
-    assert "cell 38:" in message and message.endswith("-inf]")
+    assert "cell 30:" in message and message.endswith("-inf]")
 
 
 def test_overflowing_sum_of_finite_states_does_not_raise():
@@ -458,3 +512,13 @@ def test_overflowing_sum_of_finite_states_does_not_raise():
         want = _reference_fv_evolve(classical_euler(), U0, -1.0, 1.0, 8, 0.0)
     _assert_same_run(got, want)
     np.testing.assert_array_equal(got.U, U0)
+
+
+def test_window_starts_at_an_end_whose_face_flux_overflows():
+    # a momentum of 1e300 overflows the momentum flux, so even a constant
+    # stencil there updates to NaN, and the first bad cell is cell 0
+    U0 = np.tile([1.5, 0.0], (64, 1))
+    U0[:32, 1] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        message = _both_raise(classical_euler(), U0, 0.1)
+    assert "cell 0:" in message and "t=0," not in message
