@@ -170,7 +170,8 @@ def cmd_hatd_lin(args) -> int:
     holds = gap <= result.value + 1e-9
     verdict = "PASS" if holds else "FAIL"
     direction = " ".join(repr(float(c)) for c in result.direction)
-    print(f"[{verdict}] hatd-lin: value={result.value!r} dominates "
+    print(f"[{verdict}] hatd-lin: value={result.value!r} "
+          f"upper={result.upper!r} dominates "
           f"opnorm(B-A)={gap!r} ({result.n_cells} cells)")
     print(f"  argmax direction: {direction}")
     holds = _embedded_check(cfg, result.value, "hatd-lin value") and holds

@@ -9,16 +9,18 @@ single jumps reduces to maximizing
 
 where the cells ``k`` partition the merged eigenvalue axis, ``w_k`` are the
 cell widths and ``M_k`` the difference of the spectral projector sums that
-have been crossed by each system inside the cell.  ``phi`` is a seminorm,
-so the maximization is over a sphere; in two dimensions the sphere is a
-circle and the maximum is located to high accuracy by an angle scan plus
-golden refinement, in higher dimensions by quasirandom starts polished
-with projected ascent.
+have been crossed by each system inside the cell.  ``phi`` is a convex,
+even seminorm, so its maximum over the circle (n = 2) or the sphere
+(n = 3) is found by branch and bound on spherical simplices (Horst & Tuy,
+*Global Optimization: Deterministic Approaches*, ch. 5-6).  The search
+returns a certified bracket ``[value, upper]``, within ``RTOL`` unless it
+reaches ``MAX_PIECES`` live pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -189,111 +191,110 @@ def _phi_batch(widths: np.ndarray, mats: np.ndarray, V: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class HatDLinResult:
+    """Bracket ``value <= d <= upper``, with ``phi(direction) = value``."""
+
     value: float
+    upper: float
     direction: np.ndarray
     n_cells: int
 
 
-def _maximize_circle(widths, mats, n_angles: int = 4096) -> tuple[float, np.ndarray]:
-    thetas = np.linspace(0.0, np.pi, n_angles, endpoint=False)
-    # kernel directions of the cell matrices are the only kinks of phi
-    extra = []
-    for M in mats:
-        _, svals, Vt = np.linalg.svd(M)
-        if svals[-1] <= 1e-12 * max(1.0, svals[0]):
-            v = Vt[-1]
-            extra.append(np.arctan2(v[1], v[0]) % np.pi)
-    if extra:
-        thetas = np.sort(np.concatenate([thetas, np.asarray(extra)]))
-    V = np.vstack([np.cos(thetas), np.sin(thetas)])
-    phis = _phi_batch(widths, mats, V)
-    j = int(np.argmax(phis))
-    lo = thetas[j - 1] if j > 0 else thetas[j] - np.pi / n_angles
-    hi = thetas[j + 1] if j + 1 < thetas.size else thetas[j] + np.pi / n_angles
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        ml = hi - invphi * (hi - lo)
-        mr = lo + invphi * (hi - lo)
-        Vm = np.array([[np.cos(ml), np.cos(mr)], [np.sin(ml), np.sin(mr)]])
-        fl, fr = _phi_batch(widths, mats, Vm)
-        if fl > fr:
-            hi = mr
-        else:
-            lo = ml
-    theta = 0.5 * (lo + hi)
-    v = np.array([np.cos(theta), np.sin(theta)])
-    best = float(_phi_batch(widths, mats, v[:, None])[0])
-    if phis[j] > best:
-        best = float(phis[j])
-        v = V[:, j]
-    return best, v
+# a piece is pruned once its bound is within RTOL of the best value found
+RTOL = 1e-13
+# live pieces allowed before the search returns the bracket reached so far
+MAX_PIECES = 1 << 16
+
+# Refinement tables (W, C): the rows of W weight a piece's vertices into
+# its new points; C lists the children's vertices, n at a time, among the
+# piece's vertices followed by its new points.  Arcs split into eight
+# equal chords, triangles at their edge midpoints.
+_SPLIT = {
+    2: (np.column_stack([np.arange(7, 0, -1), np.arange(1, 8)]) / 8.0,
+        np.array([0, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 1])),
+    3: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+        np.array([0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5])),
+}
 
 
-def _maximize_sphere(widths, mats, n: int,
-                     n_starts: int = 4096, n_steps: int = 200):
-    from scipy.stats import qmc
+def _maximize(widths, mats, n: int) -> tuple[float, float, np.ndarray]:
+    """Branch and bound for the max of ``phi`` on the unit sphere, n = 2, 3.
 
-    sob = qmc.Sobol(d=n, scramble=False)
-    X = 2.0 * sob.random(n_starts) - 1.0
-    norms = np.linalg.norm(X, axis=1)
-    X = X[norms > 1e-9] / norms[norms > 1e-9, None]
-    # informed starts: leading singular directions of the stacked cells
+    Pieces are spherical simplices with unit vertex rows ``S``.  Every
+    point of a piece is ``S^T b / |S^T b|`` with ``b >= 0``, and ``phi`` is
+    convex and positively homogeneous, so on the piece
+    ``phi <= max_i phi(v_i) |a|`` where ``S a = 1``.  Every bound is also
+    capped by the Cauchy-Schwarz value ``sqrt(sum_k w_k) sigma_max`` of the
+    stacked ``sqrt(w_k) M_k``, which is exact for a single cell.  Returns
+    ``(value, upper, direction)``.
+    """
+    W, C = _SPLIT[n]
     stacked = np.concatenate([np.sqrt(w) * M for w, M in zip(widths, mats)])
-    _, _, Vt = np.linalg.svd(stacked)
-    X = np.vstack([X, Vt, np.eye(n)])
-    phis = _phi_batch(widths, mats, X.T)
-    order = np.argsort(phis)[::-1][:16]
-    # batched projected ascent on the best starts; per-lane step control
-    V = X[order].T.copy()                     # (n, b)
-    vals = phis[order].copy()
-    eta = np.full(vals.shape, 0.5)
-    for _ in range(n_steps):
-        MV = mats @ V                         # (m, n, b)
-        nrm = np.sqrt(np.einsum("mnb,mnb->mb", MV, MV))
-        safe = np.maximum(nrm, 1e-300)
-        Y = MV * (widths[:, None, None] / safe[:, None, :])
-        Y[np.broadcast_to((nrm < 1e-14)[:, None, :], Y.shape)] = 0.0
-        G = np.einsum("mnk,mnb->kb", mats, Y)
-        G_t = G - V * np.einsum("nb,nb->b", G, V)
-        cand = V + eta * G_t
-        cand /= np.linalg.norm(cand, axis=0, keepdims=True)
-        cvals = _phi_batch(widths, mats, cand)
-        improved = cvals > vals
-        V = np.where(improved, cand, V)
-        vals = np.where(improved, cvals, vals)
-        eta = np.where(improved, eta, 0.5 * eta)
-        if np.all(eta < 1e-12):
-            break
+    _, svals, Vt = np.linalg.svd(stacked)
+    cap = np.sqrt(np.sum(widths)) * svals[0]
+    seeds = np.vstack([np.eye(n), Vt[0]])
+    vals = _phi_batch(widths, mats, seeds.T)
     j = int(np.argmax(vals))
-    return float(vals[j]), V[:, j]
+    best, direction = float(vals[j]), seeds[j]
+    # phi is even, so the cross-polytope facets with v_1 = e_1 cover it
+    signs = np.array([(1.0,) + s for s in product((1.0, -1.0), repeat=n - 1)])
+    S = signs[:, :, None] * np.eye(n)
+    F = np.broadcast_to(vals[:n], signs.shape)
+    upper = 0.0
+    while True:
+        a = np.linalg.solve(S, np.ones((1, n, 1)))
+        bound = np.minimum(F.max(axis=1) * np.sqrt(np.sum(a * a, axis=(1, 2))),
+                           cap)
+        live = bound > best * (1.0 + RTOL)
+        upper = max(upper, float(bound[~live].max(initial=0.0)))
+        S, F = S[live], F[live]
+        if S.shape[0] == 0:
+            break
+        if S.shape[0] > MAX_PIECES:
+            upper = max(upper, float(bound[live].max()))
+            break
+        P = W @ S                                   # (p, q, n)
+        P /= np.sqrt(np.sum(P * P, axis=2, keepdims=True))
+        G = _phi_batch(widths, mats, P.reshape(-1, n).T).reshape(P.shape[:2])
+        j = int(np.argmax(G))
+        if G.flat[j] > best:
+            best, direction = float(G.flat[j]), P.reshape(-1, n)[j].copy()
+        S = np.concatenate([S, P], axis=1).take(C, axis=1).reshape(-1, n, n)
+        F = np.concatenate([F, G], axis=1).take(C, axis=1).reshape(-1, n)
+    # a few ulps cover the rounding of phi, of the bounds and of the cap
+    upper = max(upper, best) * (1.0 + 16.0 * float(np.finfo(float).eps))
+    return best, upper, direction
 
 
 def hat_d_lin(A, B) -> HatDLinResult:
     """Distance between the linear systems ``A`` and ``B`` over unit jumps.
 
     Equals the supremum over single-jump data of the time-one L1 gap per
-    unit jump size.  Both matrices must be real-diagonalizable.  The value
-    dominates the spectral norm ``|B - A|_2``; for ``diag(0, 1)`` against
-    ``diag(0, 2)`` it equals 1.
+    unit jump size.  Both matrices must be real-diagonalizable and of size
+    at most 3; larger sizes raise ``ValueError``.  The value dominates the
+    spectral norm ``|B - A|_2``; for ``diag(0, 1)`` against ``diag(0, 2)``
+    it equals 1.
+
+    The result is a certified bracket ``value <= d <= upper``: ``upper``
+    is within ``RTOL`` of ``value``, plus a few ulps, unless the search
+    reaches ``MAX_PIECES`` live pieces and returns the wider bracket so far.
     """
     decA = decompose(A)
     decB = decompose(B)
     if decA.n != decB.n:
         raise ValueError("matrix dimensions differ")
     n = decA.n
+    if n > 3:
+        raise ValueError(f"hat_d_lin takes sizes up to 3, got {n}")
     widths, mats = _difference_cells(decA, decB)
     if widths.size == 0:
-        return HatDLinResult(value=0.0,
+        return HatDLinResult(value=0.0, upper=0.0,
                              direction=np.eye(n)[:, 0], n_cells=0)
     if n == 1:
         value = float(np.sum(widths * np.abs(mats[:, 0, 0])))
-        return HatDLinResult(value=value, direction=np.array([1.0]),
-                             n_cells=widths.size)
-    if n == 2:
-        value, v = _maximize_circle(widths, mats)
-    else:
-        value, v = _maximize_sphere(widths, mats, n)
-    return HatDLinResult(value=float(value), direction=v,
+        return HatDLinResult(value=value, upper=value,
+                             direction=np.array([1.0]), n_cells=widths.size)
+    value, upper, v = _maximize(widths, mats, n)
+    return HatDLinResult(value=value, upper=upper, direction=v,
                          n_cells=int(widths.size))
 
 

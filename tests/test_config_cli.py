@@ -1,8 +1,14 @@
 """Config grammar, artifact writers, and the command line end to end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fluxstab
 from fluxstab import PiecewiseConstantFn
 from fluxstab.cli import build_parser, main
 from fluxstab.config import (ConfigError, apply_overrides, get_value,
@@ -206,6 +212,36 @@ def test_cli_hatd_lin_worked_example(capsys):
     assert "value=1.0" in out
     assert "opnorm(B-A)=1.0" in out
     assert "argmax direction:" in out
+    first = out.splitlines()[0]
+    upper = float(first.split("upper=")[1].split()[0])
+    assert 1.0 <= upper <= 1.0 + 1e-14
+    assert "argmax direction: 0.0 1.0" in out
+
+
+def test_cli_hatd_lin_rejects_sizes_above_three(capsys):
+    code = main(["hatd-lin", "A=diag 0 1 2 3", "B=diag 0 1 2 4"])
+    assert code == 2
+    assert "up to 3" in capsys.readouterr().err
+
+
+def test_hatd_lin_does_not_import_scipy():
+    # scipy is a test-only dependency; the package must run without it
+    src = str(Path(fluxstab.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import fluxstab\n"
+        "from fluxstab.cli import main\n"
+        "res = fluxstab.hat_d_lin([[0, 1, 0], [1, 0, 0], [0, 0, 2]],\n"
+        "                         [[1, 0, 0], [0, 2, 1], [0, 1, 0]])\n"
+        "assert res.value <= res.upper\n"
+        "assert main(['hatd-lin', 'A=diag 0 1 3', 'B=diag 0 2 3.5']) == 0\n"
+        "print('scipy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_hatd_lin_missing_matrix(capsys):
