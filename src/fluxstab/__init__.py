@@ -75,7 +75,6 @@ from .euler import (
     fv_evolve,
     jacobian_gap,
     l1_state_distance,
-    phi_factor,
     recover_velocity,
     relativistic_euler,
     riemann_grid,
@@ -123,7 +122,7 @@ __all__ = [
     "step_solution", "hat_d_lin", "operator_norm",
     # momentum systems
     "AdmissibilityError", "SystemFlux", "classical_euler",
-    "relativistic_euler", "recover_velocity", "phi_factor", "jacobian_gap",
+    "relativistic_euler", "recover_velocity", "jacobian_gap",
     "GridSolution", "fv_evolve", "riemann_grid", "l1_state_distance",
     "ClassicalLimitResult", "classical_limit_experiment",
     # checks

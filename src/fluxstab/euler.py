@@ -1,23 +1,11 @@
 """Isothermal Euler momentum systems, classical and relativistic.
 
-State is ``U = (rho, q)`` with density ``rho > 0`` and momentum ``q``; the
-pressure law is ``p = sigma^2 rho``.  Both fluxes have the form
-
-    F(U) = rho (m, H(m)),   m = q / rho,
-
-with ``H(m) = m^2 + sigma^2`` for the classical system and
-``H(m) = phi_c m^2 + sigma^2`` for the relativistic one, where the
-correction factor ``phi_c`` tends to 1 as the light speed ``c`` grows.
-The velocity entering ``phi_c`` solves a quadratic in ``v`` whose stable
-root keeps ``|v| < c`` for every admissible state and depends on ``m``
-alone.  So the Jacobian ``[[0, 1], [H - m H', H']]`` is closed form, and
-``lambda_hat = |H'|/2 + sqrt(H'^2/4 + H - m H')`` at the largest
-``|q| / rho`` of the box is the exact maximum wave speed there.
-
-The relativistic flux is this ``phi_c`` ram-pressure model, not the
-relativistic Euler system of Smoller and Temple: its wave speeds exceed
-``c`` at large ``|q| / rho`` (``lambda_hat`` is 6.195 at ``c = 1.5`` on
-the default box).
+Both have the pressure law ``p = sigma^2 rho`` and a flux
+``F(U) = U_0 (m, H(m))`` with ``m = U_1 / U_0``, homogeneous of degree one,
+so every derived quantity is a closed form in the one variable ``m``.  The
+classical state is ``(rho, q)`` with ``H = m^2 + sigma^2``; the relativistic
+one is the Smoller-Temple system in its conserved variables ``(E, q)``,
+whose ``H`` tends to ``m^2 + sigma^2`` like ``1/c^2``.
 
 Both systems are evolved by a first-order finite-volume scheme whose
 numerical flux uses a single symmetric wave-speed bound, so two systems
@@ -35,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "recover_velocity",
-    "phi_factor",
     "SystemFlux",
     "classical_euler",
     "relativistic_euler",
@@ -53,36 +40,19 @@ __all__ = [
 DEFAULT_EULER_BOX = ((0.5, 4.0), (-2.0, 2.0))
 
 
-def recover_velocity(rho, q, c: float, sigma: float):
-    """Velocity of the relativistic state, the subluminal root of
+def recover_velocity(E, q, c: float, sigma: float):
+    """Velocity of the relativistic state ``(E, q)``.
 
-        (q / c^2) v^2 + rho (1 + sigma^2 / c^2) v - q = 0.
-
-    Evaluated as ``v = 2 q / (b + sqrt(b^2 + 4 q^2 / c^2))`` with
-    ``b = rho (1 + sigma^2 / c^2)``, which is exact at ``q = 0`` and never
-    cancels.  The root satisfies ``|v| < c`` whenever ``rho > 0``.
+    With ``m = q / E``, ``s2 = sigma^2/c^2`` and ``k = 1 + s2``, it is the
+    subluminal root ``v = 2 m / (k + sqrt(k^2 - 4 s2 m^2/c^2))`` of
+    ``(sigma^2 q / c^4) v^2 - k E v + q = 0``, exact at ``q = 0`` and odd
+    in ``q``.  ``|v| < c`` exactly where ``|m| < c``; elsewhere the state is
+    unphysical and ``v`` is NaN.
     """
-    rho = np.asarray(rho, dtype=float)
-    q = np.asarray(q, dtype=float)
-    b = rho * (1.0 + sigma ** 2 / c ** 2)
-    return 2.0 * q / (b + np.sqrt(b * b + 4.0 * q * q / c ** 2))
-
-
-def phi_factor(rho, q, c: float, sigma: float):
-    """Relativistic correction of the ram pressure term.
-
-    With ``p = sigma^2 rho`` and ``v`` from :func:`recover_velocity`,
-
-        phi = 1 + (1/c^2) (1 - v^2/c^2) p / (rho + (v^2/c^2)(p/c^2)).
-
-    Tends to 1 like ``O(1/c^2)`` uniformly on compact state boxes.
-    """
-    rho = np.asarray(rho, dtype=float)
-    q = np.asarray(q, dtype=float)
-    v = recover_velocity(rho, q, c, sigma)
-    p = sigma ** 2 * rho
-    beta2 = v * v / c ** 2
-    return 1.0 + (1.0 / c ** 2) * (1.0 - beta2) * p / (rho + beta2 * p / c ** 2)
+    m = np.asarray(q, dtype=float) / np.asarray(E, dtype=float)
+    k = 1.0 + (sigma / c) ** 2
+    root = np.sqrt(np.maximum(k * k - 4.0 * (sigma * m / c ** 2) ** 2, 0.0))
+    return np.where(np.abs(m) < c, 2.0 * m / (k + root), np.nan)
 
 
 @dataclass(frozen=True)
@@ -116,8 +86,11 @@ def _momentum_system(name: str, H, dH, K, sigma: float,
     """The system ``F(rho, q) = rho (m, H(m))`` with ``m = q / rho``.
 
     The flux calls ``H`` only, since it is the finite-volume hot path.  The
-    larger ``|eigenvalue|`` is nondecreasing in ``|m|``, so ``lambda_hat``
-    is its value at the largest ``|q| / rho`` of ``K``.
+    Jacobian is ``[[0, 1], [H - m H', H']]``, and its larger ``|eigenvalue|``
+    ``|H'|/2 + sqrt(H'^2/4 + H - m H')`` is nondecreasing in ``|m|``, so
+    ``lambda_hat``, its value at the largest ``|q| / rho`` of ``K``, is the
+    exact maximum speed there.  A box reaching a ratio where ``H`` is NaN
+    raises ``ValueError``.
     """
     (r_lo, r_hi), (q_lo, q_hi) = K
     if r_lo <= 0.0:
@@ -142,7 +115,11 @@ def _momentum_system(name: str, H, dH, K, sigma: float,
 
     m_star = max(abs(q_lo), abs(q_hi)) / r_lo
     h, dh = float(H(m_star)), float(dH(m_star))
-    lam = 0.5 * abs(dh) + float(np.sqrt(0.25 * dh * dh + h - m_star * dh))
+    # ((lam+ - lam-)/2)^2, which rounds below zero where both speeds near c
+    disc = max(0.25 * dh * dh + h - m_star * dh, 0.0)
+    lam = 0.5 * abs(dh) + float(np.sqrt(disc))
+    if np.isnan(lam):
+        raise ValueError(f"state box {K} leaves the domain of {name}")
     return SystemFlux(name=name, flux=flux, jacobian=jacobian, K=K,
                       lambda_hat=lam, sigma=sigma, light_speed=light_speed)
 
@@ -162,55 +139,79 @@ def classical_euler(sigma: float = 1.0,
 
 def relativistic_euler(c: float, sigma: float = 1.0,
                        K=DEFAULT_EULER_BOX) -> SystemFlux:
-    """``H(m) = phi_c m^2 + sigma^2`` with ``phi_c`` read at ``rho = 1``.
+    """The Smoller-Temple system (Comm. Math. Phys. 156, 1993) on ``(E, q)``:
 
-    This is the ``phi_c`` ram-pressure model, not the Smoller-Temple
-    relativistic Euler system: its wave speeds exceed ``c`` at large
-    ``|q| / rho``, and ``lambda_hat`` is 6.195 at ``c = 1.5`` on the
-    default box.
+        E = (rho + p v^2/c^4) G,  q = (rho + p/c^2) v G,  G = 1/(1 - v^2/c^2),
 
-    The velocity root depends on ``q / rho`` only, so ``rho = 1`` is exact.
-    ``H'`` differentiates through :func:`recover_velocity` implicitly:
-    with ``k = 1 + sigma^2/c^2`` and ``R = sqrt(k^2 + 4 m^2 / c^2)``,
-    ``dv/dm = 2k / (R (k + R))``, ``dbeta^2/dv = 2v / c^2`` and
-    ``dphi/dbeta^2 = -(sigma^2/c^2) k / (1 + beta^2 sigma^2/c^2)^2``.
+    with flux ``(q, q v + p) = E (m, H(m))``: for ``v`` from
+    :func:`recover_velocity` and ``w = v sigma / c^2``,
+    ``H = (v^2 + sigma^2) / (1 + w^2)``.  The speeds
+    ``(v +- sigma) / (1 +- w)`` add ``sigma`` to ``v`` relativistically, so
+    ``lambda_hat < c``; their sum is ``H' = 2 (1 - s2) v / (1 - w^2)``, with
+    ``s2 = sigma^2/c^2``.  The box must lie in ``|q| < c E``;
+    beyond it the flux is NaN, which :func:`fv_evolve` reports as an
+    :class:`AdmissibilityError`.
     """
     if c <= sigma:
         raise ValueError("light speed must exceed the sound speed")
     s2 = (sigma / c) ** 2
-    k = 1.0 + s2
 
-    def H(m):
-        return phi_factor(1.0, m, c, sigma) * m * m + sigma ** 2
+    def H(m):  # w = v sigma / c^2
+        v = recover_velocity(1.0, m, c, sigma)
+        return (v * v + sigma ** 2) / (1.0 + (v * (sigma / c ** 2)) ** 2)
 
     def dH(m):
-        R = np.sqrt(k * k + 4.0 * m * m / c ** 2)
         v = recover_velocity(1.0, m, c, sigma)
-        beta2 = v * v / c ** 2
-        dphi = (-s2 * k / (1.0 + beta2 * s2) ** 2
-                * (2.0 * v / c ** 2) * (2.0 * k / (R * (k + R))))
-        return 2.0 * phi_factor(1.0, m, c, sigma) * m + m * m * dphi
+        return 2.0 * (1.0 - s2) * v / (1.0 - (v * (sigma / c ** 2)) ** 2)
 
     return _momentum_system(f"rel-euler(c={c:g},sigma={sigma:g})", H, dH,
                             K, sigma, light_speed=c)
 
 
-def jacobian_gap(c: float, sigma: float = 1.0, K=DEFAULT_EULER_BOX,
-                 n_grid: int = 256) -> float:
-    """Max spectral-norm gap between the two Jacobians over a box grid.
-
-    Scales like ``1/c^2``, so doubling ``c`` divides the gap by about 4.
+def _gap_factors(m, c: float, sigma: float):
+    """``(f, psi)`` at ``m``: :func:`jacobian_gap`'s factors, written as
+    ``dH'' = 4 s2 f / (k (1 - x)^3)`` and ``B - m A = -s2 v psi`` with no
+    cancellation (``y = v^2/c^2``, ``x = s2 y``, ``k = 1 + s2``).  ``f``
+    rises in ``|m|`` from -1; ``psi`` starts at 4, changes sign at most once.
     """
-    cl = classical_euler(sigma=sigma, K=K)
-    rel = relativistic_euler(c, sigma=sigma, K=K)
-    (r_lo, r_hi), (q_lo, q_hi) = K
-    rr = np.linspace(r_lo, r_hi, n_grid)
-    qq = np.linspace(q_lo, q_hi, n_grid)
-    R, Q = np.meshgrid(rr, qq, indexing="ij")
-    pts = np.column_stack([R.ravel(), Q.ravel()])
-    D = rel.jacobian(pts) - cl.jacobian(pts)
-    # both first rows are (0, 1), so D has rank one and its spectral norm
-    # is the Euclidean norm of its second row
+    s2 = (sigma / c) ** 2
+    y = (recover_velocity(1.0, m, c, sigma) / c) ** 2
+    k, x = 1.0 + s2, s2 * y
+    P = 4.0 * k * (1.0 - y) / (1.0 - x) - (2.0 + 2.0 * s2 - y + s2 * x)
+    return (3.0 * y - 1.0 + s2 * s2 * y * y * (y - 3.0),
+            4.0 * (1.0 - y) / (1.0 - x * x) + k * c * c * y * P / (1 + x) ** 3)
+
+
+def jacobian_gap(c: float, sigma: float = 1.0, K=DEFAULT_EULER_BOX) -> float:
+    """Sup over ``K`` of the spectral-norm gap between the two Jacobians.
+
+    The gap has rank one (both first rows are ``(0, 1)``), so its norm is
+    ``g(m) = hypot(A, B)`` with ``A = dH - m dH'``, ``B = dH'`` and ``d``
+    relativistic minus classical.  ``g`` is even; folded onto ``m >= 0`` the
+    ratios of ``K`` fill ``[a, b]``.  There ``(g^2)' = 2 dH'' (B - m A)`` has
+    the sign of ``-f psi`` (see :func:`_gap_factors`), so the one interior
+    maximum of ``g`` is where ``max(f, -psi)`` turns positive, found by
+    bisection.  Each ``g`` is read off the Jacobians: a corner value is bit
+    for bit a grid's.
+    """
+    rel = relativistic_euler(c, sigma=sigma, K=K)  # checks K and c
+    ratios = [abs(q / r) for q in K[1] for r in K[0]]
+    a = 0.0 if min(K[1]) <= 0.0 <= max(K[1]) else min(ratios)
+
+    def rising(m):
+        f, psi = _gap_factors(m, c, sigma)
+        return max(f, -psi) < 0.0
+
+    lo, hi = ms = [a, max(ratios)]
+    if rising(lo) and not rising(hi):
+        for _ in range(200):  # ends when the bracket stops shrinking
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        ms.append(lo)
+    U = np.column_stack([np.ones(len(ms)), ms])
+    D = rel.jacobian(U) - classical_euler(sigma=sigma, K=K).jacobian(U)
     return float(np.max(np.hypot(D[:, 1, 0], D[:, 1, 1])))
 
 

@@ -70,8 +70,8 @@ def decompose(A, tol: float = 1e-8) -> EigenDecomposition:
     Raises :class:`DecompositionError` when eigenvalues are complex beyond
     ``tol`` (relative to the matrix scale), when a repeated eigenvalue has
     too small an eigenspace (defective matrix), or when the eigenvector
-    matrix fails to reproduce ``A``.  Eigenvalues closer than ``100 * tol``
-    times the scale are treated as a single cluster.
+    matrix fails to reproduce ``A``.  Eigenvalues within ``100 * tol`` times
+    the scale form one cluster, and singular values that small are null.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -102,7 +102,7 @@ def decompose(A, tol: float = 1e-8) -> EigenDecomposition:
         mult = j - i + 1
         lam = float(np.mean(lams[i:j + 1]))
         _, svals, Vt = np.linalg.svd(A - lam * np.eye(n))
-        null_dim = int(np.sum(svals <= 10.0 * tol * scale))
+        null_dim = int(np.sum(svals <= cluster_tol))
         if null_dim < mult:
             raise DecompositionError(
                 f"eigenvalue {lam:.12g} has multiplicity {mult} but "

@@ -348,10 +348,23 @@ def test_cli_runtime_error_exits_3(capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_cli_superluminal_state_mid_run_exits_3(capsys):
+    # the data lie outside the default box and move faster than the shared
+    # wave bound 5, so the scheme overshoots |q| < c E: NaN flux, exit 3
+    code = main(["classical-limit", "c_values=8 16", "left=1 7.9",
+                 "right=1 -7.9", "cells=200"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "nan" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["classical-limit", "c_values=0.5 8"],  # slower than sound
     ["jac-gap", "c_values=0.5"],
     ["osl", "flux=linear 0.3", "datum=pulse 1 0 1", "t=0.5", "a=0", "b=1"],
+    # the default box reaches |q| / E = 4, beyond these light speeds
+    ["jac-gap", "c_values=1.5 3"],
+    ["classical-limit", "c_values=3 8"],
 ])
 def test_cli_bad_solver_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

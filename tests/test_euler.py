@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from fluxstab import (AdmissibilityError, classical_euler,
                       classical_limit_experiment, euler, fv_evolve,
-                      jacobian_gap, l1_state_distance, phi_factor,
-                      recover_velocity, relativistic_euler, riemann_grid)
+                      jacobian_gap, l1_state_distance, recover_velocity,
+                      relativistic_euler, riemann_grid)
 from fluxstab.euler import DEFAULT_EULER_BOX, GridSolution
 
 
@@ -29,6 +29,14 @@ def _fd_jacobian(flux, U, h0=1e-5):
     return out
 
 
+# inside |q| < c E for c = 1.5, where the default box is not
+_SLOW_BOX = ((1.0, 4.0), (-1.49, 1.49))
+
+
+def _physical_box(c):
+    return DEFAULT_EULER_BOX if c > 4.0 else _SLOW_BOX
+
+
 def _box_points(n, K=DEFAULT_EULER_BOX):
     (r_lo, r_hi), (q_lo, q_hi) = K
     R, Q = np.meshgrid(np.linspace(r_lo, r_hi, n), np.linspace(q_lo, q_hi, n),
@@ -37,23 +45,28 @@ def _box_points(n, K=DEFAULT_EULER_BOX):
 
 
 def _max_speed(J):
-    """Larger |eigenvalue| of stacked ``[[0, 1], [a, b]]`` blocks."""
+    """Larger |eigenvalue| of stacked ``[[0, 1], [a, b]]`` blocks.
+
+    The discriminant ``b^2/4 + a`` is nonnegative for these hyperbolic
+    systems; rounding takes it below zero where both speeds near ``c``.
+    """
     a, b = J[:, 1, 0], J[:, 1, 1]
-    return 0.5 * np.abs(b) + np.sqrt(0.25 * b * b + a)
+    return 0.5 * np.abs(b) + np.sqrt(np.maximum(0.25 * b * b + a, 0.0))
 
 
 def test_velocity_solves_the_quadratic():
     rng = np.random.default_rng(2)
-    c, sigma = 3.0, 1.0
+    c, sigma = 4.5, 1.0  # the default box lies inside |q| < c E
     for _ in range(100):
-        rho = rng.uniform(0.5, 4.0)
+        E = rng.uniform(0.5, 4.0)
         q = rng.uniform(-2.0, 2.0)
 
         def resid(v):
-            return (q / c ** 2) * v * v + rho * (1.0 + sigma ** 2 / c ** 2) * v - q
+            return (sigma ** 2 * q / c ** 4) * v * v \
+                - (1.0 + sigma ** 2 / c ** 2) * E * v + q
 
         want = brentq(resid, -c, c, xtol=1e-14)
-        got = float(recover_velocity(rho, q, c, sigma))
+        got = float(recover_velocity(E, q, c, sigma))
         assert got == pytest.approx(want, abs=1e-12)
         assert abs(got) < c
 
@@ -68,20 +81,6 @@ def test_velocity_odd_in_momentum_and_exact_at_rest():
 def test_velocity_classical_limit():
     got = float(recover_velocity(2.0, 0.2, 1e6, 1.0))
     assert got == pytest.approx(0.1, abs=1e-10)
-
-
-def test_phi_factor_rest_state_closed_form():
-    c, sigma = 5.0, 1.3
-    got = float(phi_factor(2.2, 0.0, c, sigma))
-    assert got == pytest.approx(1.0 + sigma ** 2 / c ** 2, rel=1e-14)
-
-
-def test_phi_factor_decays_like_inverse_csquared():
-    rho, q = 1.5, 0.8
-    e1 = float(phi_factor(rho, q, 40.0, 1.0)) - 1.0
-    e2 = float(phi_factor(rho, q, 80.0, 1.0)) - 1.0
-    assert e1 > 0.0 and e2 > 0.0
-    assert e1 / e2 == pytest.approx(4.0, abs=0.1)
 
 
 def test_flux_gap_scaling():
@@ -128,20 +127,22 @@ def test_speed_bound_covers_box():
 
 @pytest.mark.parametrize("c", [1.5, 8.0, 64.0, 400.0])
 def test_relativistic_jacobian_matches_differences(c):
-    rel = relativistic_euler(c)
-    pts = _box_points(33)
+    K = _physical_box(c)
+    rel = relativistic_euler(c, K=K)
+    pts = _box_points(33, K)
     np.testing.assert_allclose(rel.jacobian(pts), _fd_jacobian(rel.flux, pts),
                                rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("c", [1.5, 8.0, 64.0])
 def test_speed_bound_is_the_box_maximum(c):
-    pts = _box_points(201)
-    for system in (classical_euler(), relativistic_euler(c)):
+    K = _physical_box(c)
+    pts = _box_points(201, K)
+    for system in (classical_euler(K=K), relativistic_euler(c, K=K)):
         eigs = np.linalg.eigvals(system.jacobian(pts))
         assert np.max(np.abs(eigs)) <= system.lambda_hat * (1.0 + 1e-12)
         # attained at the thin-density corner of largest |q|
-        corner = np.array([[0.5, 2.0]])
+        corner = np.array([[K[0][0], K[1][1]]])
         J = system.jacobian(corner)
         top = np.max(np.abs(np.linalg.eigvals(J)))
         assert top == pytest.approx(system.lambda_hat, rel=1e-12)
@@ -151,8 +152,8 @@ def test_speed_bound_is_the_box_maximum(c):
 @pytest.mark.parametrize("ratio", [1.001, 1.1, 3.0, 100.0, 1e6])
 def test_max_speed_nondecreasing_in_momentum_ratio(sigma, ratio):
     c = ratio * sigma
-    rel = relativistic_euler(c, sigma=sigma)
-    m = np.linspace(0.0, 1000.0 * c, 20001)
+    rel = relativistic_euler(c, sigma=sigma, K=((1.0, 2.0), (0.0, 0.5 * c)))
+    m = np.linspace(0.0, c, 20001)[:-1]  # the physical ratios |m| < c
     lam = _max_speed(rel.jacobian(np.column_stack([np.ones_like(m), m])))
     assert np.all(np.diff(lam) >= -1e-12 * lam[1:])
 
@@ -164,6 +165,10 @@ def test_constructor_guards():
         classical_euler(K=((0.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(ValueError):
         relativistic_euler(10.0, K=((-0.5, 1.0), (-1.0, 1.0)))
+    with pytest.raises(ValueError, match="leaves the domain"):
+        relativistic_euler(1.5)  # the default box reaches |q| / E = 4
+    with pytest.raises(ValueError, match="leaves the domain"):
+        relativistic_euler(4.0)  # exactly at the light speed
 
 
 def test_contains():
@@ -286,19 +291,169 @@ def test_limit_experiment_slope():
 
 
 def test_jacobian_gap_quarter_ratio():
-    g50 = jacobian_gap(50.0, n_grid=128)
-    g100 = jacobian_gap(100.0, n_grid=128)
+    g50 = jacobian_gap(50.0)
+    g100 = jacobian_gap(100.0)
     assert g50 > g100 > 0.0
     assert 0.23 <= g100 / g50 <= 0.27
 
 
 @pytest.mark.parametrize("c", [1.5, 8.0, 50.0, 400.0])
 def test_jacobian_gap_is_the_rank_one_norm(c):
-    pts = _box_points(64)
-    J_rel, J_cl = relativistic_euler(c).jacobian(pts), classical_euler().jacobian(pts)
+    # a grid holds the box corners: for c >= 8 the sup sits at a corner
+    # and is the grid's max to the bit, otherwise between grid points
+    K = _physical_box(c)
+    pts = _box_points(64, K)
+    J_rel = relativistic_euler(c, K=K).jacobian(pts)
+    J_cl = classical_euler(K=K).jacobian(pts)
     np.testing.assert_array_equal(J_rel[:, 0], J_cl[:, 0])
     want = float(np.max(np.linalg.norm(J_rel - J_cl, 2, axis=(1, 2))))
-    assert jacobian_gap(c, n_grid=64) == pytest.approx(want, rel=1e-15)
+    got = jacobian_gap(c, K=K)
+    if c >= 8.0:
+        assert got == pytest.approx(want, rel=1e-15)
+        grid = np.hypot((J_rel - J_cl)[:, 1, 0], (J_rel - J_cl)[:, 1, 1])
+        assert repr(got) == repr(float(np.max(grid)))
+    else:
+        assert want * (1.0 - 1e-15) <= got <= want * (1.0 + 1e-4)
+
+
+# -- the relativistic system from primitive variables -------------------------------
+
+_LIGHT_RATIOS = [1.001, 1.1, 3.0, 100.0, 1e6]  # c / sigma
+
+
+def _primitive_states(c, sigma, n=400, seed=0):
+    """Random ``(rho, v)`` with ``|v| < c`` and their ``(E, q)``."""
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.1, 5.0, n)
+    v = c * rng.uniform(-0.999, 0.999, n)
+    p = sigma ** 2 * rho
+    gamma2 = 1.0 / (1.0 - (v / c) ** 2)
+    E = (rho + p * v * v / c ** 4) * gamma2
+    q = (rho + p / c ** 2) * v * gamma2
+    return rho, v, E, q
+
+
+def _exact_velocity(E, q, c, sigma):
+    """The subluminal root for the rounded ``(E, q)``, in extended precision.
+
+    Written without cancellation: the discriminant over ``E^2`` is
+    ``(1 - s2)^2 + 4 s2 (1 - r)(1 + r)`` with ``r = q / (c E)``.
+    """
+    L = np.longdouble
+    m = q.astype(L) / E.astype(L)
+    s2, r = (L(sigma) / L(c)) ** 2, m / L(c)
+    root = np.sqrt((1 - s2) ** 2 + 4 * s2 * (1 - r) * (1 + r))
+    return 2 * m / (1 + s2 + root)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("ratio", _LIGHT_RATIOS)
+def test_relativistic_system_from_primitive_variables(sigma, ratio):
+    c = ratio * sigma
+    rho, v, E, q = _primitive_states(c, sigma)
+    v_rec = recover_velocity(E, q, c, sigma)
+    exact = _exact_velocity(E, q, c, sigma)
+    np.testing.assert_array_less(np.abs(v_rec - exact), 1e-13 * np.abs(exact))
+    # E and q carry their own rounding, which the root amplifies up to
+    # about 500-fold near |v| = c when c is close to sigma
+    np.testing.assert_allclose(v_rec, v, rtol=1e-12, atol=0.0)
+    rel = relativistic_euler(c, sigma=sigma, K=((1.0, 2.0), (0.0, 0.0)))
+    U = np.column_stack([E, q])
+    want = np.column_stack([q, q * v + sigma ** 2 * rho])
+    np.testing.assert_allclose(rel.flux(U), want, rtol=1e-13, atol=0.0)
+    # the speeds by relativistic velocity addition are the two roots of
+    # the Jacobian's characteristic polynomial lam^2 - b lam - a; they are
+    # taken at the recovered velocity, since near c = sigma a rounding of
+    # (E, q) moves the speeds far more than it moves v
+    w = v_rec * sigma / c ** 2
+    lam = np.stack([(v_rec - sigma) / (1.0 - w), (v_rec + sigma) / (1.0 + w)])
+    assert np.all((-c < lam) & (lam < c))
+    J = rel.jacobian(U)
+    a, b = J[:, 1, 0], J[:, 1, 1]
+    resid = lam * lam - b * lam - a
+    size = lam * lam + np.abs(b * lam) + np.abs(a)
+    assert np.all(np.abs(resid) <= 1e-12 * size)
+    np.testing.assert_allclose(b, lam.sum(axis=0), rtol=0.0,
+                               atol=1e-13 * float(np.max(np.abs(lam))))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("ratio", _LIGHT_RATIOS)
+def test_jacobian_gap_dominates_a_dense_sample(sigma, ratio):
+    c = ratio * sigma
+    K = ((1.0, 2.0), (-0.9 * c, 0.9 * c))
+    m = np.linspace(-0.9 * c, 0.9 * c, 20001)
+    U = np.column_stack([np.ones_like(m), m])
+    D = (relativistic_euler(c, sigma=sigma, K=K).jacobian(U)
+         - classical_euler(sigma=sigma, K=K).jacobian(U))
+    sample = np.hypot(D[:, 1, 0], D[:, 1, 1])
+    # A = dH - m dH' is a difference of terms of size m^2; its rounding
+    # can lift one sample above the sup at the largest light speeds
+    rounding = 64.0 * np.finfo(float).eps * (0.81 * c * c + sigma ** 2)
+    assert jacobian_gap(c, sigma=sigma, K=K) >= float(np.max(sample)) - rounding
+
+
+def _sign_changes(values):
+    s = np.sign(values)
+    s = s[s != 0.0]
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("ratio", _LIGHT_RATIOS)
+def test_gap_derivative_factors_change_sign_at_most_once(sigma, ratio):
+    # on the half-line 0 < m < c; m < 0 is its mirror image
+    c = ratio * sigma
+    m = np.linspace(0.0, c, 200001)[1:-1]
+    f, psi = euler._gap_factors(m, c, sigma)
+    assert _sign_changes(f) <= 1 and _sign_changes(psi) <= 1
+    assert f[0] < 0.0 < psi[0]
+
+
+@pytest.mark.parametrize("c", [1.5, 3.0, 8.0, 50.0])
+def test_gap_derivative_factors_match_the_jacobians(c):
+    # (g^2)' = 2 dH'' (B - m A): dH'' from the closed form of H'' and
+    # B - m A from the two Jacobians, against the cancellation-free factors
+    sigma = 1.0
+    m = np.linspace(0.01, 0.99, 99) * c
+    U = np.column_stack([np.ones_like(m), m])
+    D = (relativistic_euler(c, sigma=sigma, K=((1.0, 2.0), (0.0, 0.0))).jacobian(U)
+         - classical_euler(sigma=sigma).jacobian(U))
+    A, B = D[:, 1, 0], D[:, 1, 1]
+    v = recover_velocity(1.0, m, c, sigma)
+    w = v * sigma / c ** 2
+    s2 = (sigma / c) ** 2
+    k, x = 1.0 + s2, w * w
+    d2H = ((1.0 - s2) * ((1.0 + w) ** -2 + (1.0 - w) ** -2)
+           / (k * (1.0 - x) / (1.0 + x) ** 2)) - 2.0
+    f, psi = euler._gap_factors(m, c, sigma)
+    np.testing.assert_allclose(d2H, 4.0 * s2 * f / (k * (1.0 - x) ** 3),
+                               rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(B - m * A, -s2 * v * psi, rtol=1e-6,
+                               atol=1e-12 * c ** 3)
+
+
+def test_interior_sup_beats_every_grid_point():
+    # at c = 4.5 the sup over the default box sits at q/E ~ 2.683, inside
+    # the ratio interval, where no grid node lands
+    m = np.linspace(0.0, 4.0, 400001)
+    U = np.column_stack([np.ones_like(m), m])
+    D = relativistic_euler(4.5).jacobian(U) - classical_euler().jacobian(U)
+    sample = np.hypot(D[:, 1, 0], D[:, 1, 1])
+    assert 1.0 < m[np.argmax(sample)] < 3.5
+    got = jacobian_gap(4.5)
+    assert float(np.max(sample)) <= got <= float(np.max(sample)) * (1.0 + 1e-10)
+
+
+def test_superluminal_state_mid_run_is_inadmissible():
+    # too small a wave-speed bound lets the scheme overshoot |q| < c E;
+    # the flux turns NaN there, with no warning, and the run stops
+    rel = relativistic_euler(2.0, K=((1.0, 4.0), (-1.9, 1.9)))
+    with pytest.raises(AdmissibilityError, match="nan"):
+        fv_evolve(rel, riemann_grid((1.0, 1.9), (1.0, -1.9)),
+                  -1.0, 1.0, 100, 0.5, lambda_override=0.5)
+    F = rel.flux(np.array([[1.0, 2.0], [1.0, -2.5], [1.0, 1.9]]))
+    assert np.isnan(F[:2, 1]).all() and np.isfinite(F[2]).all()
 
 
 # -- the finite-volume loop against its plain form ---------------------------------

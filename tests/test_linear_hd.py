@@ -141,6 +141,16 @@ def test_jordan_block_rejected():
         decompose([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("gap", [1e-6, 5e-7, 2.5e-7])
+def test_close_eigenvalues_inside_the_cluster_threshold_decompose(gap):
+    # one threshold clusters the eigenvalues and counts the null directions
+    dec = decompose(np.diag([1.0, 1.0 + gap]))
+    np.testing.assert_allclose(dec.eigenvalues, 1.0 + 0.5 * gap, rtol=1e-15)
+    np.testing.assert_allclose(dec.right @ dec.left, np.eye(2), atol=1e-15)
+    with pytest.raises(DecompositionError, match="defective"):
+        decompose([[1.0, 1.0], [0.0, 1.0 + gap]])
+
+
 def test_nonsquare_rejected():
     with pytest.raises(ValueError):
         decompose(np.ones((2, 3)))
