@@ -12,12 +12,20 @@ numerical flux uses a single symmetric wave-speed bound, so two systems
 sharing that bound see identical discretization structure and their
 numerical gap isolates the flux difference.  A step updates only the cells
 whose stencil holds a jump; every other update is exactly zero.
+
+The scheme acts column pair by column pair, so S systems that share the
+bound, the grid and the time can be evolved in lockstep: one state of
+width ``2 S``, density in the columns ``0::2`` and momentum in ``1::2``,
+one flux call and one admissibility check a step, on the union of the
+systems' windows.  Each column pair is then bit for bit that system's own
+run; the classical-limit sweep evolves the classical reference and every
+light speed this way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +48,42 @@ __all__ = [
 DEFAULT_EULER_BOX = ((0.5, 4.0), (-2.0, 2.0))
 
 
+class _LightSpeed(NamedTuple):
+    """The constants of the Smoller-Temple velocity and ``H`` at light speed
+    ``c``: ``k = 1 + (sigma/c)^2``, ``kk = k^2``, ``c2 = c^2`` and
+    ``sc2 = sigma/c^2``.  Each field is a float, or an array with one entry
+    a column pair for a lockstep flux (see :func:`_pair_flux`).
+    """
+
+    c: float
+    k: float
+    kk: float
+    c2: float
+    sc2: float
+
+    @classmethod
+    def at(cls, c: float, sigma: float) -> _LightSpeed:
+        """The constants in Python float arithmetic.  At ``c = inf`` they
+        make ``H`` the classical ``m^2 + sigma^2`` bit for bit for every
+        finite ``m``."""
+        c = float(c)
+        k = 1.0 + (sigma / c) ** 2
+        return cls(c, k, k * k, c ** 2, sigma / c ** 2)
+
+
+def _velocity(m, sigma: float, ls: _LightSpeed):
+    """:func:`recover_velocity` at ``m = q / E``."""
+    m = np.asarray(m, dtype=float)
+    root = np.sqrt(np.maximum(ls.kk - 4.0 * (sigma * m / ls.c2) ** 2, 0.0))
+    return np.where(np.abs(m) < ls.c, 2.0 * m / (ls.k + root), np.nan)
+
+
+def _smoller_temple_H(m, sigma: float, ls: _LightSpeed):
+    """``H = (v^2 + sigma^2) / (1 + w^2)`` with ``w = v sigma / c^2``."""
+    v = _velocity(m, sigma, ls)
+    return (v * v + sigma ** 2) / (1.0 + (v * ls.sc2) ** 2)
+
+
 def recover_velocity(E, q, c: float, sigma: float):
     """Velocity of the relativistic state ``(E, q)``.
 
@@ -50,9 +94,7 @@ def recover_velocity(E, q, c: float, sigma: float):
     unphysical and ``v`` is NaN.
     """
     m = np.asarray(q, dtype=float) / np.asarray(E, dtype=float)
-    k = 1.0 + (sigma / c) ** 2
-    root = np.sqrt(np.maximum(k * k - 4.0 * (sigma * m / c ** 2) ** 2, 0.0))
-    return np.where(np.abs(m) < c, 2.0 * m / (k + root), np.nan)
+    return _velocity(m, sigma, _LightSpeed.at(c, sigma))
 
 
 @dataclass(frozen=True)
@@ -64,7 +106,8 @@ class SystemFlux:
     ``flux(U)`` computes each row from that row alone, so a row's flux
     does not depend on the other rows or on the number of rows;
     :func:`fv_evolve` evaluates it on a window of the grid and relies on
-    this.  Both built-in fluxes satisfy it.
+    this.  Both built-in fluxes satisfy it, and map a state of width
+    ``2 S`` column pair by column pair.
     """
 
     name: str
@@ -81,6 +124,23 @@ class SystemFlux:
                 & (U[..., 1] >= q_lo - tol) & (U[..., 1] <= q_hi + tol))
 
 
+def _pair_flux(H):
+    """``F(U) = rho (m, H(m))`` on each column pair ``(rho, q)`` of ``U``.
+
+    ``H`` may hold one constant a column pair, as the lockstep flux of
+    :func:`classical_limit_experiment` does with its :class:`_LightSpeed`.
+    """
+
+    def flux(U: np.ndarray) -> np.ndarray:
+        rho, q = U[:, 0::2], U[:, 1::2]
+        F = np.empty(U.shape)
+        F[:, 0::2] = q
+        F[:, 1::2] = rho * H(q / rho)
+        return F
+
+    return flux
+
+
 def _momentum_system(name: str, H, dH, K, sigma: float,
                      light_speed: float | None = None) -> SystemFlux:
     """The system ``F(rho, q) = rho (m, H(m))`` with ``m = q / rho``.
@@ -95,13 +155,7 @@ def _momentum_system(name: str, H, dH, K, sigma: float,
     (r_lo, r_hi), (q_lo, q_hi) = K
     if r_lo <= 0.0:
         raise ValueError("density box must stay positive")
-
-    def flux(U: np.ndarray) -> np.ndarray:
-        rho, q = U[:, 0], U[:, 1]
-        F = np.empty((U.shape[0], 2))
-        F[:, 0] = q
-        F[:, 1] = rho * H(q / rho)
-        return F
+    flux = _pair_flux(H)
 
     def jacobian(U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -155,14 +209,14 @@ def relativistic_euler(c: float, sigma: float = 1.0,
     if c <= sigma:
         raise ValueError("light speed must exceed the sound speed")
     s2 = (sigma / c) ** 2
+    ls = _LightSpeed.at(c, sigma)
 
-    def H(m):  # w = v sigma / c^2
-        v = recover_velocity(1.0, m, c, sigma)
-        return (v * v + sigma ** 2) / (1.0 + (v * (sigma / c ** 2)) ** 2)
+    def H(m):
+        return _smoller_temple_H(m, sigma, ls)
 
     def dH(m):
-        v = recover_velocity(1.0, m, c, sigma)
-        return 2.0 * (1.0 - s2) * v / (1.0 - (v * (sigma / c ** 2)) ** 2)
+        v = _velocity(m, sigma, ls)
+        return 2.0 * (1.0 - s2) * v / (1.0 - (v * ls.sc2) ** 2)
 
     return _momentum_system(f"rel-euler(c={c:g},sigma={sigma:g})", H, dH,
                             K, sigma, light_speed=c)
@@ -231,9 +285,15 @@ class GridSolution:
     def component(self, k: int) -> np.ndarray:
         return self.U[:, k]
 
+    def system(self, j: int) -> GridSolution:
+        """System ``j`` of a lockstep run: its column pair, as views."""
+        cols = slice(2 * j, 2 * j + 2)
+        return replace(self, U=self.U[:, cols],
+                       conservation_residual=self.conservation_residual[cols])
+
 
 def _cell_data(U0, a: float, b: float, N: int):
-    """Cell width, cell centres and the ``(N, 2)`` cell averages of ``U0``.
+    """Cell width, cell centres and the ``(N, 2 S)`` cell averages of ``U0``.
 
     ``U0`` is either a callable sampled at the cell centres or an array.
     """
@@ -243,8 +303,9 @@ def _cell_data(U0, a: float, b: float, N: int):
         U = np.array([np.asarray(U0(float(x)), dtype=float) for x in xs])
     else:
         U = np.asarray(U0, dtype=float)
-    if U.shape != (N, 2):
-        raise ValueError(f"datum shape {U.shape} does not match grid ({N}, 2)")
+    if U.ndim != 2 or U.shape[0] != N or U.shape[1] % 2 or not U.shape[1]:
+        raise ValueError(
+            f"datum shape {U.shape} does not match grid ({N}, 2 S)")
     return dx, xs, U
 
 
@@ -259,7 +320,14 @@ def fv_evolve(system: SystemFlux, U0, a: float, b: float, N: int, T: float,
     several systems share one ``lam`` (hence one time step), so their
     numerical solutions differ only through the flux functions.
 
-    The state lives in one ``(N + 2, 2)`` buffer, the cells between two
+    The datum's width ``2 S`` sets the number of systems evolved in
+    lockstep: column pair ``j`` is system ``j``, density in the columns
+    ``0::2``, and ``system.flux`` maps the pairs together (see
+    :func:`classical_limit_experiment`).  The scheme acts on each column
+    alone, so every pair is bit for bit its system's own run, with the same
+    ``n_steps`` and its two entries of ``conservation_residual``.
+
+    The state lives in one ``(N + 2, 2 S)`` buffer, the cells between two
     ghosts, and each step updates in place only the window ``U[lo:hi]``.
     Its invariant: the cells ``U[:lo + 1]`` are bitwise equal, and so are
     the cells ``U[hi - 1:]``.  So every cell outside the window has a
@@ -272,15 +340,20 @@ def fv_evolve(system: SystemFlux, U0, a: float, b: float, N: int, T: float,
     face flux of an end state is not finite, a constant stencil updates
     to NaN, not zero, so the window starts at that end.  With a row-local
     flux (see :class:`SystemFlux`) the run is bit for bit that of
-    stepping every cell.
+    stepping every cell.  In lockstep the window is the union of the
+    systems' windows: a row counts as a jump when any column differs.  A
+    system's cells outside its own window have a constant stencil all the
+    same, so stepping them changes no bit.
 
     Raises :class:`AdmissibilityError` on vacuum (density at or below
     ``rho_floor``) or non-finite states.  Each step decides the common case
     by two reductions over the window, the least density and the sum of all
     entries (NaN or inf in any entry makes the sum non-finite); only when
     that test trips does a cellwise search look for the first bad cell, so
-    a finite sum that merely overflows does not raise.  Cells outside the
-    window do not change after the check at ``t = 0``.
+    a finite sum that merely overflows does not raise.  The message names
+    the first bad cell of the first failing system as that system's
+    ``U=[rho q]``.  Cells outside the window do not change after the check
+    at ``t = 0``.
     """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
@@ -291,20 +364,22 @@ def fv_evolve(system: SystemFlux, U0, a: float, b: float, N: int, T: float,
     if lam <= 0.0:
         raise ValueError("wave speed bound must be positive")
     dx, xs, U_init = _cell_data(U0, a, b, N)
-    G = np.empty((N + 2, 2))
+    G = np.empty((N + 2, U_init.shape[1]))
     U = G[1:-1]
     U[:] = U_init
 
     def check(t: float, lo: int, hi: int) -> None:
         V = U[lo:hi]
-        if V[:, 0].min(initial=np.inf) > rho_floor and np.isfinite(V.sum()):
+        if V[:, 0::2].min(initial=np.inf) > rho_floor and np.isfinite(V.sum()):
             return
-        bad = ~np.isfinite(V).all(axis=1) | (V[:, 0] <= rho_floor)
+        P = V.reshape(hi - lo, -1, 2)  # cell, system, (rho, q)
+        bad = ~np.isfinite(P).all(axis=2) | (P[:, :, 0] <= rho_floor)
         if np.any(bad):
-            i = lo + int(np.argmax(bad))
+            j = int(np.argmax(bad.any(axis=0)))
+            i = lo + int(np.argmax(bad[:, j]))
             raise AdmissibilityError(
                 f"state left admissible region at t={t:.6g}, cell {i}: "
-                f"U={U[i]}")
+                f"U={U[i, 2 * j:2 * j + 2]}")
 
     check(0.0, 0, N)
     jumps = np.flatnonzero(
@@ -318,7 +393,7 @@ def fv_evolve(system: SystemFlux, U0, a: float, b: float, N: int, T: float,
     dt_full = cfl * dx / lam
     t = 0.0
     n_steps = 0
-    boundary_flux = np.zeros(2)
+    boundary_flux = np.zeros(U.shape[1])
     totals0 = U.sum(axis=0) * dx
     while t < T - 1e-14 * max(T, 1.0):
         dt = min(dt_full, T - t)
@@ -381,24 +456,38 @@ def classical_limit_experiment(c_values: Sequence[float],
     """L1 gap between relativistic and classical evolutions as ``c`` grows.
 
     All runs share one wave-speed bound (the max over every system), hence
-    one time-step sequence, and one datum sampled once on the grid; the
-    classical reference is computed once.  The flux gap is ``O(1/c^2)`` and
-    the scheme is identical across runs, so the measured gaps follow the
-    same rate: the fitted log-log slope is close to -2.
+    one time-step sequence, and one datum sampled once on the grid, so one
+    :func:`fv_evolve` call evolves them in lockstep: column pair 0 is the
+    classical reference, pair ``j`` the light speed ``c_values[j - 1]`` in
+    ascending order.  Every pair is the Smoller-Temple flux at its own
+    light speed, the classical one at ``c = inf``, where it is classical
+    Euler bit for bit.  The flux gap is ``O(1/c^2)`` and the scheme is
+    identical across runs, so the measured gaps follow the same rate: the
+    fitted log-log slope is close to -2.  A gap that is not positive and
+    finite gives no slope and raises ``ValueError``.
     """
     c_values = np.asarray(sorted(c_values), dtype=float)
     if c_values.size < 2:
         raise ValueError("need at least two light speeds for a slope")
-    systems = [relativistic_euler(c, sigma=sigma, K=K) for c in c_values]
     classical = classical_euler(sigma=sigma, K=K)
-    lam = max([classical.lambda_hat] + [s.lambda_hat for s in systems])
+    lam = max([classical.lambda_hat] + [
+        relativistic_euler(c, sigma=sigma, K=K).lambda_hat for c in c_values])
+    ls = _LightSpeed(*map(np.array, zip(*(
+        _LightSpeed.at(c, sigma) for c in [np.inf, *c_values]))))
+    # fv_evolve reads only the flux here; lambda_override sets the bound
+    lockstep = replace(classical, name="lockstep", flux=_pair_flux(
+        lambda m: _smoller_temple_H(m, sigma, ls)))
     _, _, U0 = _cell_data(riemann_grid(UL, UR), a, b, N)
-    ref = fv_evolve(classical, U0, a, b, N, T, cfl=cfl, lambda_override=lam)
-    gaps = np.array([
-        l1_state_distance(
-            fv_evolve(s, U0, a, b, N, T, cfl=cfl, lambda_override=lam), ref)
-        for s in systems
-    ])
+    if U0.shape[1] != 2:  # one system's states, tiled below
+        raise ValueError(
+            f"datum shape {U0.shape} does not match grid ({N}, 2)")
+    sol = fv_evolve(lockstep, np.tile(U0, 1 + c_values.size), a, b, N, T,
+                    cfl=cfl, lambda_override=lam)
+    gaps = np.array([l1_state_distance(sol.system(j), sol.system(0))
+                     for j in range(1, 1 + c_values.size)])
+    if not np.all(np.isfinite(gaps) & (gaps > 0.0)):
+        raise ValueError(f"L1 gaps {gaps.tolist()} give no log-log slope: "
+                         "each must be positive and finite")
     slope = float(np.polyfit(np.log(c_values), np.log(gaps), 1)[0])
     return ClassicalLimitResult(c_values=c_values, gaps=gaps, slope=slope,
                                 lambda_shared=lam)

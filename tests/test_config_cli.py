@@ -356,6 +356,8 @@ def test_cli_superluminal_state_mid_run_exits_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and "nan" in err
+    assert err == ("runtime error: state left admissible region at "
+                   "t=0.0045, cell 96: U=[0.98613937        nan]\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,7 +367,11 @@ def test_cli_superluminal_state_mid_run_exits_3(capsys):
     # the default box reaches |q| / E = 4, beyond these light speeds
     ["jac-gap", "c_values=1.5 3"],
     ["classical-limit", "c_values=3 8"],
+    # a constant datum: every gap is 0, so there is no log-log slope
+    ["classical-limit", "c_values=8 16", "left=1 0", "right=1 0", "cells=50"],
+    ["classical-limit", "left=2 0 1 0", "right=1 0 1 0", "cells=50"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_cli_bad_solver_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -581,21 +581,122 @@ def test_window_edges_match_reference_bytes(system, name):
         assert got.conservation_residual.tobytes() == bytes(16)
 
 
-def test_limit_experiment_evolves_through_the_module_attribute(monkeypatch):
-    # the benchmark wraps euler.fv_evolve to read each run's conservation
-    # residual, so every run must go through that name, one call a run
+def _sweep(monkeypatch, c_values, **kwargs):
+    """Run the sweep; return its result and each ``fv_evolve`` call's
+    ``(system, lambda_override, solution)``."""
     calls = []
     evolve = euler.fv_evolve
 
-    def counting(*args, **kwargs):
-        sol = evolve(*args, **kwargs)
-        calls.append(sol)
+    def keep(system, *args, **kw):
+        sol = evolve(system, *args, **kw)
+        calls.append((system, kw["lambda_override"], sol))
+        return sol
+
+    monkeypatch.setattr(euler, "fv_evolve", keep)
+    res = classical_limit_experiment(c_values, **kwargs)
+    monkeypatch.undo()
+    return res, calls
+
+
+def test_limit_experiment_evolves_through_the_module_attribute(monkeypatch):
+    # the benchmark wraps euler.fv_evolve to read the conservation
+    # residuals, so the sweep goes through that name: one call, all systems
+    _, calls = _sweep(monkeypatch, [8.0, 16.0, 32.0], N=400)
+    assert len(calls) == 1
+    sol = calls[0][2]
+    assert isinstance(sol, GridSolution)
+    assert sol.conservation_residual.shape == (2 * 4,)
+    assert np.max(np.abs(sol.conservation_residual)) <= 1e-11
+
+
+def test_limit_experiment_steps_all_systems_in_one_flux_call(monkeypatch):
+    # one flux call a step plus the end-face probe, not one per system
+    widths, runs = [], []
+    evolve = euler.fv_evolve
+
+    def counting(system, *args, **kwargs):
+        def flux(U):
+            widths.append(U.shape[1])
+            return system.flux(U)
+        sol = evolve(dataclasses.replace(system, flux=flux), *args, **kwargs)
+        runs.append(sol.n_steps)
         return sol
 
     monkeypatch.setattr(euler, "fv_evolve", counting)
-    classical_limit_experiment([8.0, 16.0, 32.0], N=400)
-    assert len(calls) == 4
-    assert all(isinstance(sol, GridSolution) for sol in calls)
+    classical_limit_experiment([8.0, 16.0, 32.0, 64.0], N=400)
+    assert len(runs) == 1 and runs[0] > 100
+    assert len(widths) == runs[0] + 1
+    assert set(widths) == {2 * 5}
+
+
+def _step_datum(rng):
+    """Seeded step datum: 1 to 5 jumps between states of the default box."""
+    N = int(rng.integers(50, 401))
+    cuts = np.sort(rng.choice(np.arange(1, N), rng.integers(1, 6),
+                              replace=False))
+    states = np.column_stack([rng.uniform(0.8, 3.5, cuts.size + 1),
+                              rng.uniform(-1.5, 1.5, cuts.size + 1)])
+    return np.repeat(states, np.diff(np.r_[0, cuts, N]), axis=0)
+
+
+_LOCKSTEP_CS = [4.5, 8.0, 37.3, 1e3]
+
+
+@pytest.fixture(scope="module")
+def lockstep():
+    """The sweep's stacked system and shared bound at ``_LOCKSTEP_CS``."""
+    mp = pytest.MonkeyPatch()
+    try:
+        _, [(system, lam, _)] = _sweep(mp, _LOCKSTEP_CS, N=200)
+    finally:
+        mp.undo()
+    return system, lam
+
+
+def _members():
+    return [classical_euler()] + [relativistic_euler(c) for c in _LOCKSTEP_CS]
+
+
+@pytest.mark.parametrize("datum", ["shipped", "wavy"] + [
+    f"steps{i}" for i in range(4)])
+def test_lockstep_pairs_match_serial_runs_bytes(lockstep, datum):
+    system, lam = lockstep
+    rng = np.random.default_rng(sum(map(ord, datum)))
+    if datum == "shipped":  # configs/classical_limit.cfg
+        N, T, U0 = 2000, 0.2, riemann_grid((2.0, 0.0), (1.0, 0.0))
+        U0 = np.array([U0(x) for x in -1.0 + (np.arange(N) + 0.5) * 0.001])
+    elif datum == "wavy":
+        N, T, U0 = 401, 0.137, _wavy_datum(401)
+    else:
+        U0 = _step_datum(rng)
+        N, T = U0.shape[0], float(rng.uniform(0.05, 0.3))
+    got = fv_evolve(system, np.tile(U0, 5), -1.0, 1.0, N, T,
+                    lambda_override=lam)
+    assert got.U.shape == (N, 10) and got.conservation_residual.shape == (10,)
+    for j, member in enumerate(_members()):
+        pair = got.system(j)
+        for run in (fv_evolve, _reference_fv_evolve):
+            want = run(member, U0, -1.0, 1.0, N, T, lambda_override=lam)
+            assert pair.U.tobytes() == want.U.tobytes()
+            assert pair.n_steps == want.n_steps
+            assert (pair.conservation_residual.tobytes()
+                    == want.conservation_residual.tobytes())
+
+
+def test_lockstep_classical_pair_is_the_classical_flux(lockstep):
+    # the classical member is the Smoller-Temple flux at c = inf
+    system, _ = lockstep
+    rng = np.random.default_rng(11)
+    U = np.column_stack([rng.uniform(0.01, 10.0, 4000),
+                         rng.uniform(-1e3, 1e3, 4000)])
+    U[:5, 1] = [0.0, -0.0, 1e300, -1e300, 1e-300]
+    with np.errstate(over="ignore"):
+        got = system.flux(np.tile(U, 5))
+        assert got[:, :2].tobytes() == classical_euler().flux(U).tobytes()
+    for j, member in enumerate(_members()[1:], start=1):
+        inside = np.abs(U[:, 1] / U[:, 0]) < _LOCKSTEP_CS[j - 1]
+        assert (got[inside, 2 * j:2 * j + 2].tobytes()
+                == member.flux(U[inside]).tobytes())
 
 
 def test_fv_evolve_truncates_the_last_step():
@@ -629,6 +730,46 @@ def _both_raise(system, U0, T):
         _reference_fv_evolve(system, U0, -1.0, 1.0, U0.shape[0], T)
     assert str(got.value) == str(want.value)
     return str(got.value)
+
+
+def test_lockstep_names_the_first_failing_system_as_a_pair():
+    # the vacuum of system 0 at cell 40 is reported, not the earlier cell 5
+    # of system 1, with system 0's two entries
+    flat = np.tile([1.5, 0.25], (64, 1))
+    A, B = flat.copy(), flat.copy()
+    A[40, 0], B[5, 0] = 1e-3, 0.0
+    with pytest.raises(AdmissibilityError) as got:
+        fv_evolve(classical_euler(), np.hstack([A, B]), -1.0, 1.0, 64, 0.1)
+    assert str(got.value) == ("state left admissible region at t=0, "
+                              f"cell 40: U={A[40]}")
+    with pytest.raises(AdmissibilityError) as got:
+        fv_evolve(classical_euler(), np.hstack([flat, B]), -1.0, 1.0, 64, 0.1)
+    assert str(got.value).endswith(f"cell 5: U={B[5]}")
+
+
+def test_lockstep_failure_reads_as_the_serial_failure():
+    # the classical reference stays admissible; c = 8 turns NaN first
+    kwargs = dict(UL=(1.0, 7.9), UR=(1.0, -7.9), N=200)
+    with pytest.raises(AdmissibilityError) as got:
+        classical_limit_experiment([8.0, 16.0], **kwargs)
+    lam = max(s.lambda_hat for s in (classical_euler(),
+                                     relativistic_euler(8.0),
+                                     relativistic_euler(16.0)))
+    datum = riemann_grid((1.0, 7.9), (1.0, -7.9))
+    fv_evolve(classical_euler(), datum, -1.0, 1.0, 200, 0.2,
+              lambda_override=lam)
+    with pytest.raises(AdmissibilityError) as want:
+        fv_evolve(relativistic_euler(8.0), datum, -1.0, 1.0, 200, 0.2,
+                  lambda_override=lam)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(
+        "t=0.0045, cell 96: U=[0.98613937        nan]")
+
+
+def test_limit_experiment_rejects_gaps_without_a_slope():
+    with pytest.raises(ValueError, match="no log-log slope"):
+        classical_limit_experiment([8.0, 16.0], UL=(1.0, 0.0), UR=(1.0, 0.0),
+                                   N=50)
 
 
 def test_density_at_the_floor_names_its_cell():
