@@ -154,17 +154,10 @@ def cmd_hatd(args) -> int:
     return _finish([report])
 
 
-def _matrix_arg(cfg, key: str, alias: str):
-    spec = get_value(cfg, key, str, "") or get_value(cfg, alias, str, "")
-    if not spec:
-        raise ConfigError(f"missing matrix {key!r} (alias {alias!r})")
-    return resolve_matrix(spec)
-
-
 def cmd_hatd_lin(args) -> int:
     cfg = _cfg_from(args)
-    A = _matrix_arg(cfg, "A", "matrix_a")
-    B = _matrix_arg(cfg, "B", "matrix_b")
+    A = resolve_matrix(get_value(cfg, "A"))
+    B = resolve_matrix(get_value(cfg, "B"))
     result = hat_d_lin(A, B)
     gap = operator_norm(B - A)
     holds = gap <= result.value + 1e-9
@@ -242,6 +235,8 @@ def cmd_rexp(args) -> int:
     tol = get_value(cfg, "tol", float, 1e-3)
     n_panels = get_value(cfg, "panels", int, 2 ** 14)
     ns = list(range(n_min, n_max + 1))
+    if not ns:
+        raise ConfigError(f"empty sweep: n_min={n_min} > n_max={n_max}")
     results = [rexp_counterexample(n, tilt=tilt, n_panels=n_panels)
                for n in ns]
     rows = []
@@ -301,6 +296,8 @@ def cmd_classical_limit(args) -> int:
 def cmd_jac_gap(args) -> int:
     cfg = _cfg_from(args)
     cs = [float(tok) for tok in get_value(cfg, "c_values", str, "50 100 200").split()]
+    if not cs:
+        raise ConfigError("empty sweep: no c_values")
     sigma = get_value(cfg, "sigma", float, 1.0)
     lo = get_value(cfg, "ratio_lo", float, 0.23)
     hi = get_value(cfg, "ratio_hi", float, 0.27)

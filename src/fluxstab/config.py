@@ -1,14 +1,15 @@
-"""Flat key=value configuration with section prefixes and CLI overrides.
+"""Flat key=value configuration with CLI overrides.
 
-The format is intentionally small: ``key = value`` lines, ``[section]``
-headers that prefix the following keys with ``section.``, and ``#``
-comments.  Values stay strings until a resolver interprets them, so the
-same machinery feeds fluxes, data, matrices and check expressions.
+The format is intentionally small: ``key = value`` lines and ``#``
+comments; any other line is an error.  Values stay strings until a
+resolver interprets them, so the same machinery feeds fluxes, data,
+matrices and check expressions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,15 +37,9 @@ class ConfigError(ValueError):
 
 def parse_config_text(text: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if not section:
-                raise ConfigError(f"line {lineno}: empty section name")
             continue
         key, eq, value = line.partition("=")
         if not eq:
@@ -52,8 +47,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        full = f"{section}.{key}" if section else key
-        cfg[full] = value.strip()
+        cfg[key] = value.strip()
     return cfg
 
 
@@ -80,19 +74,13 @@ _REQUIRED = object()
 
 
 def get_value(cfg: dict[str, str], key: str, kind=str, default=_REQUIRED):
-    """Typed lookup; ``kind`` in (str, int, float, bool)."""
+    """Typed lookup; ``kind`` in (str, int, float)."""
     if key not in cfg:
         if default is _REQUIRED:
             raise ConfigError(f"missing config key {key!r}")
         return default
     raw = cfg[key]
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
@@ -159,28 +147,38 @@ def resolve_matrix(spec: str) -> np.ndarray:
         raise ConfigError(f"bad matrix spec {spec!r}: {exc}") from exc
 
 
+def _number(tok: str, least: float = -math.inf) -> float:
+    """``float(tok)``, rejecting NaN and values below ``least``."""
+    x = float(tok)
+    if not x >= least:
+        raise ValueError(f"{tok} is not a number >= {least!r}")
+    return x
+
+
 def resolve_check(spec: str):
     """Compile a check expression into ``(predicate, description)``.
 
     Grammar: ``<= X`` | ``>= X`` | ``== X TOL`` | ``within TOL of X`` |
-    ``in LO HI``.
+    ``in LO HI``.  A spec that no value can pass is an error: a NaN bound,
+    a negative tolerance or ``LO > HI``.
     """
     toks = spec.split()
     try:
         if toks[0] == "<=" and len(toks) == 2:
-            x = float(toks[1])
+            x = _number(toks[1])
             return (lambda v: v <= x), f"value <= {x!r}"
         if toks[0] == ">=" and len(toks) == 2:
-            x = float(toks[1])
+            x = _number(toks[1])
             return (lambda v: v >= x), f"value >= {x!r}"
         if toks[0] == "==" and len(toks) == 3:
-            x, tol = float(toks[1]), float(toks[2])
+            x, tol = _number(toks[1]), _number(toks[2], 0.0)
             return (lambda v: abs(v - x) <= tol), f"|value - {x!r}| <= {tol!r}"
         if toks[0] == "within" and len(toks) == 4 and toks[2] == "of":
-            tol, x = float(toks[1]), float(toks[3])
+            tol, x = _number(toks[1], 0.0), _number(toks[3])
             return (lambda v: abs(v - x) <= tol), f"|value - {x!r}| <= {tol!r}"
         if toks[0] == "in" and len(toks) == 3:
-            lo, hi = float(toks[1]), float(toks[2])
+            lo = _number(toks[1])
+            hi = _number(toks[2], lo)
             return (lambda v: lo <= v <= hi), f"value in [{lo!r}, {hi!r}]"
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"bad check spec {spec!r}: {exc}") from exc

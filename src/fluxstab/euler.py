@@ -115,13 +115,6 @@ class SystemFlux:
     jacobian: Callable[[np.ndarray], np.ndarray]
     K: tuple[tuple[float, float], tuple[float, float]]
     lambda_hat: float
-    sigma: float
-    light_speed: float | None = None
-
-    def contains(self, U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        (r_lo, r_hi), (q_lo, q_hi) = self.K
-        return ((U[..., 0] >= r_lo - tol) & (U[..., 0] <= r_hi + tol)
-                & (U[..., 1] >= q_lo - tol) & (U[..., 1] <= q_hi + tol))
 
 
 def _pair_flux(H):
@@ -141,8 +134,7 @@ def _pair_flux(H):
     return flux
 
 
-def _momentum_system(name: str, H, dH, K, sigma: float,
-                     light_speed: float | None = None) -> SystemFlux:
+def _momentum_system(name: str, H, dH, K) -> SystemFlux:
     """The system ``F(rho, q) = rho (m, H(m))`` with ``m = q / rho``.
 
     The flux calls ``H`` only, since it is the finite-volume hot path.  The
@@ -175,7 +167,7 @@ def _momentum_system(name: str, H, dH, K, sigma: float,
     if np.isnan(lam):
         raise ValueError(f"state box {K} leaves the domain of {name}")
     return SystemFlux(name=name, flux=flux, jacobian=jacobian, K=K,
-                      lambda_hat=lam, sigma=sigma, light_speed=light_speed)
+                      lambda_hat=lam)
 
 
 def classical_euler(sigma: float = 1.0,
@@ -188,7 +180,7 @@ def classical_euler(sigma: float = 1.0,
     def dH(m):
         return 2.0 * m
 
-    return _momentum_system(f"euler(sigma={sigma:g})", H, dH, K, sigma)
+    return _momentum_system(f"euler(sigma={sigma:g})", H, dH, K)
 
 
 def relativistic_euler(c: float, sigma: float = 1.0,
@@ -218,8 +210,7 @@ def relativistic_euler(c: float, sigma: float = 1.0,
         v = _velocity(m, sigma, ls)
         return 2.0 * (1.0 - s2) * v / (1.0 - (v * ls.sc2) ** 2)
 
-    return _momentum_system(f"rel-euler(c={c:g},sigma={sigma:g})", H, dH,
-                            K, sigma, light_speed=c)
+    return _momentum_system(f"rel-euler(c={c:g},sigma={sigma:g})", H, dH, K)
 
 
 def _gap_factors(m, c: float, sigma: float):
@@ -281,9 +272,6 @@ class GridSolution:
     dx: float
     n_steps: int
     conservation_residual: np.ndarray  # per component, boundary-corrected
-
-    def component(self, k: int) -> np.ndarray:
-        return self.U[:, k]
 
     def system(self, j: int) -> GridSolution:
         """System ``j`` of a lockstep run: its column pair, as views."""

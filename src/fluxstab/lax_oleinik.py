@@ -517,6 +517,8 @@ def one_sided_lipschitz_check(problem: LaxOleinikProblem, t: float,
     flux = problem.flux
     if flux.kappa <= 0.0:
         raise ValueError("check needs kappa > 0")
+    if n_pairs < 1 or not a < b:
+        raise ValueError("check needs n_pairs >= 1 and a < b")
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(a, b, n_pairs)
     x2 = np.minimum(x1 + rng.uniform(0.0, 0.25 * (b - a), n_pairs), b)

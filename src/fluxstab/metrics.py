@@ -67,7 +67,6 @@ class TmainReport:
     rhs: float
     hat_d: float
     tv_time_integral: float
-    lipschitz: float
     holds: bool
 
     def line(self) -> str:
@@ -98,10 +97,9 @@ def check_tmain(flux_f, flux_g, u0: PiecewiseConstantFn, T: float,
     lhs = l1_distance(state_f.profile, state_g.profile, window)
     hat_d = deriv_gap_sup(flux_f, flux_g) if hat_d_value is None else hat_d_value
     tv_int = state_g.tv_time_integral()
-    lipschitz = 1.0
-    rhs = lipschitz * hat_d * tv_int
+    rhs = hat_d * tv_int
     return TmainReport(lhs=lhs, rhs=rhs, hat_d=hat_d, tv_time_integral=tv_int,
-                       lipschitz=lipschitz, holds=_tmain_holds(lhs, rhs))
+                       holds=_tmain_holds(lhs, rhs))
 
 
 def _tmain_holds(lhs: float, rhs: float) -> bool:
@@ -262,34 +260,6 @@ class StabilityReport:
                         self.c0_derivative_gap, datum, T, gap, tv,
                         self.pgeneral_holds, self.tmain_holds])
         return out
-
-    @staticmethod
-    def from_rows(rows: list[list]) -> list["StabilityReport"]:
-        """Inverse of concatenated ``rows()`` output, order preserving."""
-        grouped: dict[str, list[list]] = {}
-        order: list[str] = []
-        for row in rows:
-            key = str(row[0])
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(row)
-        reports = []
-        for key in order:
-            block = grouped[key]
-            first = block[0]
-            gaps = tuple((str(r[4]), float(r[5]), float(r[6]), float(r[7]))
-                         for r in block)
-            reports.append(StabilityReport(
-                pair=key,
-                hat_d_estimate=float(first[1]),
-                sup_hatd_lin=float(first[2]),
-                c0_derivative_gap=float(first[3]),
-                semigroup_gaps=gaps,
-                pgeneral_holds=bool(first[8]),
-                tmain_holds=bool(first[9]),
-            ))
-        return reports
 
     def summary(self) -> str:
         lines = [

@@ -145,22 +145,15 @@ class PiecewiseConstantFn:
 
     # -- serialization -----------------------------------------------------
 
-    def to_text(self) -> str:
-        """Line-oriented text form.
+    @classmethod
+    def from_text(cls, text: str) -> "PiecewiseConstantFn":
+        """Read the line-oriented text form.
 
         Header ``dim n`` with n = number of breakpoints, then ``n + 1`` rows
         ``<right_end> <v_1> ... <v_dim>``: the value on the interval ending
         at ``right_end``.  The final row carries the right tail value with
-        the sentinel ``inf``.
+        the sentinel ``inf``.  Blank lines and ``#`` comments are skipped.
         """
-        lines = [f"dim {self.breakpoints.size}"]
-        ends = [repr(float(x)) for x in self.breakpoints] + ["inf"]
-        for end, row in zip(ends, self.values):
-            lines.append(" ".join([end] + [repr(float(v)) for v in row]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PiecewiseConstantFn":
         rows = [
             ln.split() for ln in text.splitlines()
             if ln.strip() and not ln.lstrip().startswith("#")

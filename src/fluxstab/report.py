@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-__all__ = ["write_csv", "read_csv", "svg_line_plot"]
+__all__ = ["write_csv", "svg_line_plot"]
 
 
 def _tool_version() -> str:
@@ -60,40 +60,6 @@ def write_csv(path, rows: list[dict], metadata: dict | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_cell(s: str):
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
-
-
-def read_csv(path) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
-    metadata: dict = {}
-    cols: list[str] | None = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            metadata[key.strip()] = _parse_cell(val.strip())
-            continue
-        cells = line.split(",")
-        if cols is None:
-            cols = cells
-            continue
-        rows.append({c: _parse_cell(v) for c, v in zip(cols, cells)})
-    return rows, metadata
-
-
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -105,8 +71,7 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 def svg_line_plot(path, xs, series: dict, title: str = "",
                   xlabel: str = "", ylabel: str = "",
-                  loglog: bool = False,
-                  size: tuple[int, int] = (640, 420)) -> None:
+                  loglog: bool = False) -> None:
     """One SVG with a polyline per entry of ``series`` ({label: ys}).
 
     ``loglog`` plots decimal logs of both axes (all data must be positive)
@@ -127,7 +92,7 @@ def svg_line_plot(path, xs, series: dict, title: str = "",
     else:
         txs, tseries = xs, series
 
-    w, h = size
+    w, h = 640, 420
     ml, mr, mt, mb = 64, 16, 36, 44
     x_lo, x_hi = min(txs), max(txs)
     all_y = [y for ys in tseries.values() for y in ys]

@@ -25,8 +25,7 @@ between their inverse graphs, ``t * TV(E_f - E_g)``, a finite sum that
 
 On top of the solvers sits the normalized single-jump distance between two
 fluxes: the supremum over Riemann data of the time-1 L1 gap divided by the
-jump size.  The supremum is estimated from below by sampling; the report
-says so explicitly.
+jump size.  The supremum is estimated from below by sampling.
 """
 
 from __future__ import annotations
@@ -97,17 +96,6 @@ class RiemannFan:
     uL: float
     uR: float
     waves: tuple
-
-    @property
-    def speed_range(self) -> tuple[float, float] | None:
-        if not self.waves:
-            return None
-        lo = self.waves[0]
-        hi = self.waves[-1]
-        return (
-            lo.speed if isinstance(lo, Shock) else lo.xi_lo,
-            hi.speed if isinstance(hi, Shock) else hi.xi_hi,
-        )
 
 
 def _rh_speed(flux: AnyFlux, uL: float, uR: float) -> float:
@@ -338,13 +326,6 @@ class FluxDistanceReport:
     estimate: float
     arg_left: float
     arg_right: float
-    n_samples: int
-    sampler: RiemannSampler
-    is_lower_bound: bool = True
-
-    @property
-    def arg_gap(self) -> float:
-        return abs(self.arg_right - self.arg_left)
 
 
 def hat_d_estimate(flux_f: AnyFlux, flux_g: AnyFlux,
@@ -362,8 +343,7 @@ def hat_d_estimate(flux_f: AnyFlux, flux_g: AnyFlux,
     sampler = sampler or RiemannSampler()
     best = 0.0
     arg = (Kf[0], Kf[0])
-    pairs = sampler.pairs(Kf)
-    for uL, uR in pairs:
+    for uL, uR in sampler.pairs(Kf):
         gap = abs(uR - uL)
         if gap == 0.0:
             continue
@@ -371,10 +351,8 @@ def hat_d_estimate(flux_f: AnyFlux, flux_g: AnyFlux,
         if val > best:
             best = val
             arg = (float(uL), float(uR))
-    return FluxDistanceReport(
-        estimate=float(best), arg_left=arg[0], arg_right=arg[1],
-        n_samples=pairs.shape[0], sampler=sampler,
-    )
+    return FluxDistanceReport(estimate=float(best), arg_left=arg[0],
+                              arg_right=arg[1])
 
 
 # -- invariants (used by the test-suite; cheap enough to call anywhere) ------

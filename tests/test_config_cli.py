@@ -1,5 +1,6 @@
 """Config grammar, artifact writers, and the command line end to end."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -9,34 +10,32 @@ import numpy as np
 import pytest
 
 import fluxstab
-from fluxstab import PiecewiseConstantFn
 from fluxstab.cli import build_parser, main
 from fluxstab.config import (ConfigError, apply_overrides, get_value,
                              parse_config_text, resolve_check, resolve_datum,
                              resolve_flux, resolve_matrix)
-from fluxstab.metrics import StabilityReport
-from fluxstab.report import read_csv, svg_line_plot, write_csv
+from fluxstab.report import svg_line_plot, write_csv
 
 
 # -- config grammar ---------------------------------------------------------------
 
-def test_parse_sections_and_comments():
+def test_parse_comments_and_blank_lines():
     cfg = parse_config_text(
         "# top comment\n"
         "flux = burgers\n"
         "\n"
-        "[run]\n"
         "T = 0.5\n"
         "datum = riemann 1 0\n")
-    assert cfg == {"flux": "burgers", "run.T": "0.5",
-                   "run.datum": "riemann 1 0"}
+    assert cfg == {"flux": "burgers", "T": "0.5", "datum": "riemann 1 0"}
 
 
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("this is not a key value line\n")
-    with pytest.raises(ConfigError, match="empty section"):
-        parse_config_text("[]\n")
+    # section headers are not part of the grammar
+    for header in ("[]\n", "[run]\nT = 0.5\n"):
+        with pytest.raises(ConfigError, match="line 1: expected"):
+            parse_config_text(header)
     with pytest.raises(ConfigError, match="empty key"):
         parse_config_text("= 3\n")
 
@@ -49,19 +48,15 @@ def test_overrides_win():
 
 
 def test_get_value_types():
-    cfg = {"n": "3", "x": "0.5", "flag": "yes", "off": "false", "s": "hi"}
+    cfg = {"n": "3", "x": "0.5", "s": "hi"}
     assert get_value(cfg, "n", int) == 3
     assert get_value(cfg, "x", float) == 0.5
-    assert get_value(cfg, "flag", bool) is True
-    assert get_value(cfg, "off", bool) is False
     assert get_value(cfg, "s") == "hi"
     assert get_value(cfg, "missing", int, 7) == 7
     with pytest.raises(ConfigError, match="missing"):
         get_value(cfg, "absent", int)
     with pytest.raises(ConfigError):
         get_value(cfg, "s", int)
-    with pytest.raises(ConfigError):
-        get_value({"b": "maybe"}, "b", bool)
 
 
 def test_resolve_datum_specs(tmp_path):
@@ -73,7 +68,7 @@ def test_resolve_datum_specs(tmp_path):
     fn = resolve_datum("steps 0 -1 0.5 1 0")
     np.testing.assert_allclose(fn.breakpoints, [-1.0, 1.0])
     path = tmp_path / "datum.txt"
-    path.write_text(PiecewiseConstantFn.step(0.0, 1.0, -1.0).to_text())
+    path.write_text("dim 1\n0.0 1.0\ninf -1.0\n")
     fn = resolve_datum(f"file {path}")
     np.testing.assert_allclose(fn.values[:, 0], [1.0, -1.0])
     for bad in ("", "pulse 1 2 1", "riemann 1", "nonsense 1 2"):
@@ -101,7 +96,12 @@ def test_resolve_check_grammar():
     assert pred(0.8) and not pred(0.5)
     pred, _ = resolve_check("in -1 1")
     assert pred(0.0) and not pred(1.5)
-    for bad in ("~= 1", "== 1", "in 1", "within 1 from 2"):
+    pred, _ = resolve_check("in 1 1")
+    assert pred(1.0) and not pred(1.5)
+    # a spec that no value can pass is a typo, not a failed check
+    for bad in ("~= 1", "== 1", "in 1", "within 1 from 2", "in 2 1",
+                "== 1 -1", "within -1 of 1", "<= nan", ">= nan", "== 1 nan",
+                "in nan 1"):
         with pytest.raises(ConfigError):
             resolve_check(bad)
 
@@ -121,11 +121,15 @@ def test_csv_round_trip(tmp_path):
     meta = {"command": "demo", "cfg.T": "0.5", "spec": "diag 0, 2"}
     path = tmp_path / "t.csv"
     write_csv(path, rows, meta)
-    back, bmeta = read_csv(path)
-    assert back == rows  # repr floats round-trip exactly
-    assert bmeta["command"] == "demo"
-    assert bmeta["cfg.T"] == 0.5
-    assert bmeta["spec"] == "diag 0, 2"
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# cfg.T = 0.5", "# command = demo",
+                         "# spec = diag 0, 2"]
+    back = list(csv.DictReader(lines[3:]))
+    assert back == [{"name": "a", "x": "0.30000000000000004", "n": "3",
+                     "ok": "true"},
+                    {"name": "b", "x": "-1.5e-300", "n": "-1", "ok": "false"}]
+    # repr floats round-trip exactly
+    assert [float(r["x"]) for r in back] == [r["x"] for r in rows]
 
 
 def test_csv_rejects_corrupting_values(tmp_path):
@@ -246,6 +250,7 @@ def test_hatd_lin_does_not_import_scipy():
 
 def test_cli_hatd_lin_missing_matrix(capsys):
     assert main(["hatd-lin", "A=diag 0 1"]) == 2
+    assert main(["hatd-lin", "matrix_a=diag 0 1", "matrix_b=diag 0 2"]) == 2
 
 
 def test_cli_embedded_check_pass_and_fail(capsys):
@@ -280,13 +285,14 @@ def test_cli_rexp_single_n(tmp_path, capsys):
     code = main(["rexp", "n_min=3", "n_max=3", "--out", str(out)])
     assert code == 0
     assert "[PASS] rexp n=3" in capsys.readouterr().out
-    rows, meta = read_csv(out / "rexp.csv")
+    lines = (out / "rexp.csv").read_text().splitlines()
+    rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
     assert len(rows) == 1
-    assert abs(rows[0]["l1_distance"] - 1.0) <= 1e-3
-    assert rows[0]["n"] == 3
-    assert meta["command"] == "rexp"
-    assert meta["cfg.n_min"] == 3
-    assert meta["cfg.out"] == str(out)
+    assert abs(float(rows[0]["l1_distance"]) - 1.0) <= 1e-3
+    assert rows[0]["n"] == "3"
+    assert "# command = rexp" in lines
+    assert "# cfg.n_min = 3" in lines
+    assert f"# cfg.out = {out}" in lines
     assert (out / "rexp.svg").exists()
 
 
@@ -307,10 +313,11 @@ def test_cli_evolve_writes_profile(tmp_path, capsys):
     out = tmp_path / "evo"
     code = main(["evolve", "datum=riemann 1 0", "T=0.5", "--out", str(out)])
     assert code == 0
-    rows, meta = read_csv(out / "profile.csv")
-    assert rows[0]["x"] == float("-inf")
-    assert meta["cfg.datum"] == "riemann 1 0"
-    assert meta["flux"] == "pl[burgers]"
+    lines = (out / "profile.csv").read_text().splitlines()
+    rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+    assert rows[0]["x"] == "-inf"
+    assert "# cfg.datum = riemann 1 0" in lines
+    assert "# flux = pl[burgers]" in lines
 
 
 def test_cli_tmain_pass(capsys):
@@ -378,6 +385,20 @@ def test_cli_bad_solver_parameters_exit_2(argv, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["rexp", "n_min=3", "n_max=2"],
+    ["jac-gap", "c_values="],
+    ["osl", "flux=burgers", "datum=pulse 1 0 1", "t=0.5", "a=0", "b=1",
+     "n_pairs=0"],
+    ["osl", "flux=burgers", "datum=pulse 1 0 1", "t=0.5", "a=1", "b=1"],
+])
+def test_cli_sweep_with_nothing_to_check_exits_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_cli_suite(tmp_path, capsys):
     out = tmp_path / "suite_out"
     code = main(["suite", "segments=32", "T=0.5", "n_grid=8", "n_near=8",
@@ -385,13 +406,12 @@ def test_cli_suite(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "[PASS] suite: 6 pairs" in text
-    rows, meta = read_csv(out / "stability_report.csv")
+    lines = (out / "stability_report.csv").read_text().splitlines()
+    rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
     assert len(rows) == 12  # six pairs, two data each
-    assert meta["cfg.seed"] == 7
-    listed = [list(r.values()) for r in rows]
-    reports = StabilityReport.from_rows(listed)
-    assert [r.pair for r in reports][0] == "tilt-quarter"
-    assert all(r.tmain_holds and r.pgeneral_holds for r in reports)
+    assert "# cfg.seed = 7" in lines
+    assert rows[0]["pair"] == "tilt-quarter"
+    assert all(r["tmain_holds"] == r["pgeneral_holds"] == "true" for r in rows)
 
 
 def test_cli_config_file_and_override(tmp_path, capsys):

@@ -171,14 +171,6 @@ def test_constructor_guards():
         relativistic_euler(4.0)  # exactly at the light speed
 
 
-def test_contains():
-    cl = classical_euler()
-    inside = np.array([[1.0, 0.0], [0.5, -2.0]])
-    outside = np.array([[0.4, 0.0], [1.0, 2.5]])
-    assert cl.contains(inside).all()
-    assert not cl.contains(outside).any()
-
-
 # -- finite volumes ---------------------------------------------------------------
 
 def test_constant_state_is_a_fixed_point():

@@ -79,7 +79,6 @@ def test_tmain_linear_pair_is_equality():
     assert rep.holds
     assert rep.lhs == pytest.approx(0.5, abs=1e-12)
     assert rep.lhs == pytest.approx(rep.rhs, abs=1e-9)
-    assert rep.lipschitz == 1.0
     assert "PASS" in rep.line()
 
 
@@ -124,8 +123,7 @@ def test_pgeneral_scale_pair_concentrates_near_diagonal():
 
 def test_sup_location_classifier():
     def rep(a, b):
-        return FluxDistanceReport(estimate=1.0, arg_left=a, arg_right=b,
-                                  n_samples=1, sampler=RiemannSampler())
+        return FluxDistanceReport(estimate=1.0, arg_left=a, arg_right=b)
 
     assert sup_location(rep(0.5, 0.5005), (-1.0, 1.0)) == "near-diagonal"
     assert sup_location(rep(0.0, 1.0), (-1.0, 1.0)) == "large-jump"
@@ -188,7 +186,7 @@ def test_bundled_pairs_sampled_form():
 
 # -- suite reports -----------------------------------------------------------------
 
-def test_report_rows_round_trip():
+def test_report_rows_and_summary():
     rep = StabilityReport(
         pair="demo", hat_d_estimate=0.25, sup_hatd_lin=0.25,
         c0_derivative_gap=0.25,
@@ -201,8 +199,6 @@ def test_report_rows_round_trip():
         pgeneral_holds=True, tmain_holds=False)
     rows = rep.rows() + other.rows()
     assert len(rows) == 3 and len(rows[0]) == len(StabilityReport.COLUMNS)
-    back = StabilityReport.from_rows(rows)
-    assert back == [rep, other]
     assert "demo" in rep.summary() and "ok" in rep.summary()
 
 

@@ -197,12 +197,19 @@ def test_integral_exact():
 
 
 def test_text_round_trip():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        f = random_fn(rng, dim=int(rng.integers(1, 4)))
-        g = PiecewiseConstantFn.from_text(f.to_text())
-        np.testing.assert_array_equal(f.breakpoints, g.breakpoints)
-        np.testing.assert_array_equal(f.values, g.values)
+    # a 2-vector step function in the text form: every number reads back
+    # as the float whose repr it is
+    text = ("# comment\n"
+            "dim 2\n"
+            "-0.5 0.1 -2.0\n"
+            "0.30000000000000004 1e-300 3.5\n"
+            "\n"
+            "inf -0.0 7.25\n")
+    f = PiecewiseConstantFn.from_text(text)
+    rows = [ln.split() for ln in text.splitlines()[2:] if ln]
+    assert [repr(x) for x in f.breakpoints.tolist()] == [r[0] for r in rows[:-1]]
+    assert [[repr(v) for v in row] for row in f.values.tolist()] == \
+        [r[1:] for r in rows]
 
 
 def test_text_rejects_malformed():
