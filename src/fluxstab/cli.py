@@ -1,10 +1,13 @@
 """Command line front end.
 
 Every subcommand reads its parameters from an optional config file plus
-``key=value`` overrides on the command line, prints one ``[PASS]`` or
-``[FAIL]`` line per embedded check, and writes CSV/SVG artifacts when
-``out`` is set.  Exit codes: 0 all checks passed, 1 a check failed,
-2 configuration problem, 3 runtime failure inside a solver.
+``key=value`` overrides on the command line (``--seed N`` is shorthand
+for ``seed=N``), prints one ``[PASS]`` or ``[FAIL]`` line per check, all
+spelled by :func:`~fluxstab.report.verdict_line`, and writes CSV/SVG
+artifacts into the directory named by the ``out`` key.  An embedded
+``check`` spec is resolved before anything runs.  Exit codes: 0 all
+checks passed, 1 a check failed, 2 configuration problem, 3 runtime
+failure inside a solver.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .lax_oleinik import (LaxOleinikProblem, linfty_bound_check,
 from .linear_hd import DecompositionError, hat_d_lin, operator_norm
 from .metrics import (StabilityReport, check_pgeneral, check_tmain,
                       lerrest_diagnostic, stability_suite)
-from .report import svg_line_plot, write_csv
+from .report import svg_line_plot, verdict_line, write_csv
 from .riemann import RiemannSampler, UnsupportedFluxError, solve_riemann
 
 _RUNTIME_ERRORS = (AdmissibilityError, FrontTrackingError,
@@ -36,9 +39,7 @@ _RUNTIME_ERRORS = (AdmissibilityError, FrontTrackingError,
 
 def _cfg_from(args) -> dict[str, str]:
     cfg = load_config(args.config) if args.config else {}
-    # flags sit between the file and explicit key=value overrides
-    if args.out:
-        cfg["out"] = args.out
+    # --seed sits between the file and explicit key=value overrides
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     return apply_overrides(cfg, args.overrides)
@@ -74,6 +75,27 @@ def _maybe_pl(flux, segments: int):
     return flux
 
 
+def _flux_pair(cfg, segments: int | None = None):
+    """``flux_f`` and ``flux_g`` on ``K``; given a default for the
+    ``segments`` key, each goes through :func:`_maybe_pl`."""
+    K = _box(cfg)
+    n = 0 if segments is None else get_value(cfg, "segments", int, segments)
+    return [_maybe_pl(resolve_flux(get_value(cfg, key), K), n)
+            for key in ("flux_f", "flux_g")]
+
+
+def _window(cfg) -> dict[str, float]:
+    """The time ``t`` and the window ``[a, b]`` of a bound check."""
+    return {key: get_value(cfg, key, float) for key in ("t", "a", "b")}
+
+
+def _sampler(cfg, n: int) -> RiemannSampler:
+    """The jump sampler, with ``n`` as the default of both grid sizes."""
+    return RiemannSampler(n_grid=get_value(cfg, "n_grid", int, n),
+                          n_near=get_value(cfg, "n_near", int, n),
+                          near_gap=get_value(cfg, "near_gap", float, 1e-3))
+
+
 def _lo_datum(spec: str):
     toks = spec.split()
     if toks and toks[0] == "sawtooth":
@@ -83,23 +105,30 @@ def _lo_datum(spec: str):
     return resolve_datum(spec)
 
 
-def _embedded_check(cfg, value: float, label: str) -> bool:
-    """Evaluate an optional ``check = <expr>`` key against ``value``."""
+def _lo_problem(cfg) -> LaxOleinikProblem:
+    flux = resolve_flux(get_value(cfg, "flux", str, "burgers"), _box(cfg))
+    return LaxOleinikProblem(flux, _lo_datum(get_value(cfg, "datum")))
+
+
+def _verdict(name: str, holds: bool, detail: str) -> bool:
+    print(verdict_line(name, holds, detail))
+    return holds
+
+
+def _embedded_check(cfg, label: str):
+    """The optional ``check = <expr>`` key, resolved now: a function that
+    prints the verdict on a value and returns it."""
     spec = get_value(cfg, "check", str, "")
     if not spec:
-        return True
+        return lambda value: True
     pred, desc = resolve_check(spec)
-    good = bool(pred(value))
-    print(f"[{'PASS' if good else 'FAIL'}] {label}: {desc}, got {value!r}")
-    return good
+    return lambda value: _verdict(label, bool(pred(value)),
+                                  f"{desc}, got {value!r}")
 
 
-def _finish(reports) -> int:
-    ok = True
-    for r in reports:
-        print(r if isinstance(r, str) else r.line())
-        ok = ok and (isinstance(r, str) or r.holds)
-    return 0 if ok else 1
+def _finish(report) -> int:
+    print(report.line())
+    return 0 if report.holds else 1
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -118,15 +147,15 @@ def cmd_riemann(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _cfg_from(args)
-    K = _box(cfg)
-    flux = resolve_flux(get_value(cfg, "flux", str, "burgers"), K)
+    check = _embedded_check(cfg, "evolve tv_integral")
+    flux = resolve_flux(get_value(cfg, "flux", str, "burgers"), _box(cfg))
     flux = _maybe_pl(flux, get_value(cfg, "segments", int, 512))
     u0 = resolve_datum(get_value(cfg, "datum"))
     T = get_value(cfg, "T", float)
     state = ft_evolve(flux, u0, T)
     print(f"evolved {flux.name} to T={T!r}: {state.n_events} collisions, "
           f"TV time integral {state.tv_time_integral()!r}")
-    ok = _embedded_check(cfg, state.tv_time_integral(), "evolve tv_integral")
+    ok = check(state.tv_time_integral())
     out = _out_dir(cfg)
     if out:
         prof = state.profile
@@ -141,90 +170,51 @@ def cmd_evolve(args) -> int:
 
 def cmd_hatd(args) -> int:
     cfg = _cfg_from(args)
-    K = _box(cfg)
-    flux_f = resolve_flux(get_value(cfg, "flux_f"), K)
-    flux_g = resolve_flux(get_value(cfg, "flux_g"), K)
-    sampler = RiemannSampler(
-        n_grid=get_value(cfg, "n_grid", int, 64),
-        n_near=get_value(cfg, "n_near", int, 64),
-        near_gap=get_value(cfg, "near_gap", float, 1e-3),
-    )
-    report = check_pgeneral(flux_f, flux_g, sampler,
-                            threshold=get_value(cfg, "threshold", float, 0.95))
-    return _finish([report])
+    return _finish(check_pgeneral(
+        *_flux_pair(cfg), _sampler(cfg, 64),
+        threshold=get_value(cfg, "threshold", float, 0.95)))
 
 
 def cmd_hatd_lin(args) -> int:
     cfg = _cfg_from(args)
+    check = _embedded_check(cfg, "hatd-lin value")
     A = resolve_matrix(get_value(cfg, "A"))
     B = resolve_matrix(get_value(cfg, "B"))
     result = hat_d_lin(A, B)
     gap = operator_norm(B - A)
-    holds = gap <= result.value + 1e-9
-    verdict = "PASS" if holds else "FAIL"
+    holds = _verdict("hatd-lin", gap <= result.value + 1e-9,
+                     f"value={result.value!r} upper={result.upper!r} "
+                     f"dominates opnorm(B-A)={gap!r} ({result.n_cells} cells)")
     direction = " ".join(repr(float(c)) for c in result.direction)
-    print(f"[{verdict}] hatd-lin: value={result.value!r} "
-          f"upper={result.upper!r} dominates "
-          f"opnorm(B-A)={gap!r} ({result.n_cells} cells)")
     print(f"  argmax direction: {direction}")
-    holds = _embedded_check(cfg, result.value, "hatd-lin value") and holds
-    return 0 if holds else 1
+    return 0 if check(result.value) and holds else 1
 
 
 def cmd_tmain(args) -> int:
     cfg = _cfg_from(args)
-    K = _box(cfg)
-    segments = get_value(cfg, "segments", int, 512)
-    flux_f = _maybe_pl(resolve_flux(get_value(cfg, "flux_f"), K), segments)
-    flux_g = _maybe_pl(resolve_flux(get_value(cfg, "flux_g"), K), segments)
+    flux_f, flux_g = _flux_pair(cfg, segments=512)
     u0 = resolve_datum(get_value(cfg, "datum"))
-    T = get_value(cfg, "T", float)
-    return _finish([check_tmain(flux_f, flux_g, u0, T)])
+    return _finish(check_tmain(flux_f, flux_g, u0, get_value(cfg, "T", float)))
 
 
 def cmd_linfty(args) -> int:
     cfg = _cfg_from(args)
-    K = _box(cfg)
-    flux_f = resolve_flux(get_value(cfg, "flux_f"), K)
-    flux_g = resolve_flux(get_value(cfg, "flux_g"), K)
+    flux_f, flux_g = _flux_pair(cfg)
     data = _lo_datum(get_value(cfg, "datum"))
-    report = linfty_bound_check(
-        flux_f, flux_g, data,
-        t=get_value(cfg, "t", float),
-        a=get_value(cfg, "a", float),
-        b=get_value(cfg, "b", float),
-    )
-    return _finish([report])
+    return _finish(linfty_bound_check(flux_f, flux_g, data, **_window(cfg)))
 
 
 def cmd_oleinik_tv(args) -> int:
     cfg = _cfg_from(args)
-    K = _box(cfg)
-    flux = resolve_flux(get_value(cfg, "flux", str, "burgers"), K)
-    problem = LaxOleinikProblem(flux, _lo_datum(get_value(cfg, "datum")))
-    report = oleinik_tv_bound_check(
-        problem,
-        t=get_value(cfg, "t", float),
-        a=get_value(cfg, "a", float),
-        b=get_value(cfg, "b", float),
-    )
-    return _finish([report])
+    return _finish(oleinik_tv_bound_check(_lo_problem(cfg), **_window(cfg)))
 
 
 def cmd_osl(args) -> int:
     cfg = _cfg_from(args)
-    K = _box(cfg)
-    flux = resolve_flux(get_value(cfg, "flux", str, "burgers"), K)
-    problem = LaxOleinikProblem(flux, _lo_datum(get_value(cfg, "datum")))
-    report = one_sided_lipschitz_check(
-        problem,
-        t=get_value(cfg, "t", float),
-        a=get_value(cfg, "a", float),
-        b=get_value(cfg, "b", float),
+    return _finish(one_sided_lipschitz_check(
+        _lo_problem(cfg), **_window(cfg),
         n_pairs=get_value(cfg, "n_pairs", int, 10 ** 4),
-        seed=get_value(cfg, "seed", int, 0),
-    )
-    return _finish([report])
+        seed=get_value(cfg, "seed", int, 0)))
 
 
 def cmd_rexp(args) -> int:
@@ -244,10 +234,9 @@ def cmd_rexp(args) -> int:
     for n, res in zip(ns, results):
         rows.append({"n": n, "t": res.t, "l1_distance": res.l1_distance})
         if tilt == -1.0:
-            good = abs(res.l1_distance - 1.0) <= tol
-            ok = ok and good
-            print(f"[{'PASS' if good else 'FAIL'}] rexp n={n}: gap at "
-                  f"t={res.t!r} is {res.l1_distance!r} (target 1)")
+            ok = _verdict(f"rexp n={n}", abs(res.l1_distance - 1.0) <= tol,
+                          f"gap at t={res.t!r} is {res.l1_distance!r} "
+                          "(target 1)") and ok
         else:
             print(f"rexp n={n}: gap at t={res.t!r} is {res.l1_distance!r}")
     out = _out_dir(cfg)
@@ -274,12 +263,11 @@ def cmd_classical_limit(args) -> int:
     )
     lo = get_value(cfg, "slope_lo", float, -2.3)
     hi = get_value(cfg, "slope_hi", float, -1.7)
-    holds = lo <= result.slope <= hi
     for c, g in zip(result.c_values, result.gaps):
         print(f"  c={c:g}: L1 gap {float(g)!r}")
-    verdict = "PASS" if holds else "FAIL"
-    print(f"[{verdict}] classical-limit: slope={result.slope!r} "
-          f"in [{lo}, {hi}] (shared wave bound {result.lambda_shared!r})")
+    holds = _verdict("classical-limit", lo <= result.slope <= hi,
+                     f"slope={result.slope!r} in [{lo}, {hi}] "
+                     f"(shared wave bound {result.lambda_shared!r})")
     out = _out_dir(cfg)
     if out:
         write_csv(out / "classical_limit.csv", result.summary_rows(),
@@ -308,19 +296,14 @@ def cmd_jac_gap(args) -> int:
             if speed not in gaps:
                 gaps[speed] = jacobian_gap(speed, sigma=sigma)
         ratio = gaps[2.0 * c] / gaps[c]
-        good = lo <= ratio <= hi
-        ok = ok and good
-        print(f"[{'PASS' if good else 'FAIL'}] jac-gap c={c:g}: "
-              f"gap(2c)/gap(c) = {ratio!r}")
+        ok = _verdict(f"jac-gap c={c:g}", lo <= ratio <= hi,
+                      f"gap(2c)/gap(c) = {ratio!r}") and ok
     return 0 if ok else 1
 
 
 def cmd_lerrest(args) -> int:
     cfg = _cfg_from(args)
-    K = _box(cfg)
-    segments = get_value(cfg, "segments", int, 512)
-    flux_f = _maybe_pl(resolve_flux(get_value(cfg, "flux_f"), K), segments)
-    flux_g = _maybe_pl(resolve_flux(get_value(cfg, "flux_g"), K), segments)
+    flux_f, flux_g = _flux_pair(cfg, segments=512)
     u0 = resolve_datum(get_value(cfg, "datum"))
     T = get_value(cfg, "T", float)
     n_steps = get_value(cfg, "steps", int, 256)
@@ -328,7 +311,7 @@ def cmd_lerrest(args) -> int:
     def w(t: float):
         return ft_evolve(flux_g, u0, t).profile if t > 0.0 else u0
 
-    return _finish([lerrest_diagnostic(flux_f, w, T, n_steps=n_steps)])
+    return _finish(lerrest_diagnostic(flux_f, w, T, n_steps=n_steps))
 
 
 def cmd_suite(args) -> int:
@@ -336,16 +319,10 @@ def cmd_suite(args) -> int:
     reports = stability_suite(
         segments=get_value(cfg, "segments", int, 128),
         T=get_value(cfg, "T", float, 1.0),
-        sampler=RiemannSampler(
-            n_grid=get_value(cfg, "n_grid", int, 32),
-            n_near=get_value(cfg, "n_near", int, 32),
-            near_gap=get_value(cfg, "near_gap", float, 1e-3),
-        ),
+        sampler=_sampler(cfg, 32),
     )
-    ok = True
     for rep in reports:
         print(rep.summary())
-        ok = ok and rep.pgeneral_holds and rep.tmain_holds
     out = _out_dir(cfg)
     if out:
         rows = [dict(zip(StabilityReport.COLUMNS, row))
@@ -353,8 +330,8 @@ def cmd_suite(args) -> int:
         write_csv(out / "stability_report.csv", rows,
                   _provenance(cfg, "suite"))
         print(f"wrote {out / 'stability_report.csv'}")
-    print(f"[{'PASS' if ok else 'FAIL'}] suite: {len(reports)} pairs")
-    return 0 if ok else 1
+    ok = all(rep.pgeneral_holds and rep.tmain_holds for rep in reports)
+    return 0 if _verdict("suite", ok, f"{len(reports)} pairs") else 1
 
 
 def cmd_list(args) -> int:
@@ -397,13 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"fluxstab {__version__}")
-    parser.add_argument("--list", action="store_true",
-                        help="print flux and datum spec grammars")
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
                         help="one of the commands listed below")
     parser.add_argument("--config", default=None,
                         help="config file with key = value lines")
-    parser.add_argument("--out", default=None, help="artifact directory")
     parser.add_argument("--seed", default=None, type=int,
                         help="seed for randomized sampling")
     parser.add_argument("overrides", nargs="*", default=[],
@@ -412,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if "--list" in argv:
-        return cmd_list(None)
     args = build_parser().parse_intermixed_args(argv)
     try:
         return _COMMANDS[args.command][0](args)

@@ -158,9 +158,9 @@ def _number(tok: str, least: float = -math.inf) -> float:
 def resolve_check(spec: str):
     """Compile a check expression into ``(predicate, description)``.
 
-    Grammar: ``<= X`` | ``>= X`` | ``== X TOL`` | ``within TOL of X`` |
-    ``in LO HI``.  A spec that no value can pass is an error: a NaN bound,
-    a negative tolerance or ``LO > HI``.
+    Grammar: ``<= X`` | ``>= X`` | ``== X TOL`` | ``in LO HI``.  A spec
+    that no value can pass is an error: a NaN bound, a negative tolerance
+    or ``LO > HI``.
     """
     toks = spec.split()
     try:
@@ -172,9 +172,6 @@ def resolve_check(spec: str):
             return (lambda v: v >= x), f"value >= {x!r}"
         if toks[0] == "==" and len(toks) == 3:
             x, tol = _number(toks[1]), _number(toks[2], 0.0)
-            return (lambda v: abs(v - x) <= tol), f"|value - {x!r}| <= {tol!r}"
-        if toks[0] == "within" and len(toks) == 4 and toks[2] == "of":
-            tol, x = _number(toks[1], 0.0), _number(toks[3])
             return (lambda v: abs(v - x) <= tol), f"|value - {x!r}| <= {tol!r}"
         if toks[0] == "in" and len(toks) == 3:
             lo = _number(toks[1])

@@ -172,15 +172,13 @@ def _momentum_system(name: str, H, dH, K) -> SystemFlux:
 
 def classical_euler(sigma: float = 1.0,
                     K=DEFAULT_EULER_BOX) -> SystemFlux:
-    """``H(m) = m^2 + sigma^2``: eigenvalues ``m +- sigma``."""
+    """``H(m) = m^2 + sigma^2``: eigenvalues ``m +- sigma``.
 
-    def H(m):
-        return m * m + sigma ** 2
-
-    def dH(m):
-        return 2.0 * m
-
-    return _momentum_system(f"euler(sigma={sigma:g})", H, dH, K)
+    It is the Smoller-Temple system at ``c = inf``, whose ``H`` and ``H'``
+    are ``m^2 + sigma^2`` and ``2 m`` bit for bit for every finite ``m``.
+    """
+    return replace(relativistic_euler(np.inf, sigma, K),
+                   name=f"euler(sigma={sigma:g})")
 
 
 def relativistic_euler(c: float, sigma: float = 1.0,
@@ -457,13 +455,13 @@ def classical_limit_experiment(c_values: Sequence[float],
     c_values = np.asarray(sorted(c_values), dtype=float)
     if c_values.size < 2:
         raise ValueError("need at least two light speeds for a slope")
-    classical = classical_euler(sigma=sigma, K=K)
-    lam = max([classical.lambda_hat] + [
-        relativistic_euler(c, sigma=sigma, K=K).lambda_hat for c in c_values])
+    speeds = [np.inf, *c_values]
+    systems = [relativistic_euler(c, sigma=sigma, K=K) for c in speeds]
+    lam = max(system.lambda_hat for system in systems)
     ls = _LightSpeed(*map(np.array, zip(*(
-        _LightSpeed.at(c, sigma) for c in [np.inf, *c_values]))))
+        _LightSpeed.at(c, sigma) for c in speeds))))
     # fv_evolve reads only the flux here; lambda_override sets the bound
-    lockstep = replace(classical, name="lockstep", flux=_pair_flux(
+    lockstep = replace(systems[0], name="lockstep", flux=_pair_flux(
         lambda m: _smoller_temple_H(m, sigma, ls)))
     _, _, U0 = _cell_data(riemann_grid(UL, UR), a, b, N)
     if U0.shape[1] != 2:  # one system's states, tiled below

@@ -33,6 +33,7 @@ import numpy as np
 from .fluxes import ScalarFlux, burgers
 from .metrics import deriv_gap_sup
 from .pwfun import PiecewiseConstantFn
+from .report import verdict_line
 
 __all__ = [
     "StepData",
@@ -374,10 +375,10 @@ class TvBoundReport:
     converged: bool
 
     def line(self) -> str:
-        verdict = "PASS" if self.holds else "FAIL"
         budget = "" if self.converged else ", budget reached"
-        return (f"[{verdict}] oleinik-tv: tv={self.tv!r} "
-                f"<= bound={self.bound!r} on window {self.window}{budget}")
+        return verdict_line("oleinik-tv", self.holds,
+                            f"tv={self.tv!r} <= bound={self.bound!r} "
+                            f"on window {self.window}{budget}")
 
 
 def _dyadic_refinement(sample, lo: float, hi: float, measure,
@@ -421,8 +422,8 @@ def oleinik_tv_bound_check(problem: LaxOleinikProblem, t: float,
     ``2 diam(K) (b - a + 4 lambda_hat t) / (kappa t)``.
     """
     flux = problem.flux
-    if flux.kappa <= 0.0:
-        raise ValueError("bound needs kappa > 0")
+    if flux.kappa <= 0.0 or not a < b:
+        raise ValueError("bound needs kappa > 0 and a < b")
     lam = flux.lambda_hat
     lo, hi = a - 2.0 * lam * t, b + 2.0 * lam * t
     tv, n, converged = _dyadic_refinement(
@@ -444,11 +445,11 @@ class LinftyBoundReport:
     converged: bool
 
     def line(self) -> str:
-        verdict = "PASS" if self.holds else "FAIL"
         budget = "" if self.converged else ", budget reached"
-        return (f"[{verdict}] linfty: lhs={self.lhs!r} <= rhs={self.rhs!r} "
-                f"(max deriv gap {self.deriv_gap!r}, {self.n_grid} panels"
-                f"{budget})")
+        return verdict_line("linfty", self.holds,
+                            f"lhs={self.lhs!r} <= rhs={self.rhs!r} (max deriv "
+                            f"gap {self.deriv_gap!r}, {self.n_grid} panels"
+                            f"{budget})")
 
 
 def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
@@ -467,10 +468,10 @@ def linfty_bound_check(flux_f: ScalarFlux, flux_g: ScalarFlux, data,
     evaluated as printed to keep the correspondence obvious.)  The
     derivative gap is :func:`~fluxstab.metrics.deriv_gap_sup`.
     """
-    deriv_gap = deriv_gap_sup(flux_f, flux_g)
     kappa = min(flux_f.kappa, flux_g.kappa)
-    if kappa <= 0.0:
-        raise ValueError("bound needs uniformly convex fluxes")
+    if kappa <= 0.0 or not a < b:
+        raise ValueError("bound needs uniformly convex fluxes and a < b")
+    deriv_gap = deriv_gap_sup(flux_f, flux_g)
     lam = max(flux_f.lambda_hat, flux_g.lambda_hat)
     pf = LaxOleinikProblem(flux_f, data)
     pg = LaxOleinikProblem(flux_g, data)
@@ -500,10 +501,10 @@ class OslReport:
         return self.violations == 0
 
     def line(self) -> str:
-        verdict = "PASS" if self.holds else "FAIL"
-        return (f"[{verdict}] osl: {self.violations} violations in "
-                f"{self.n_pairs} pairs (max excess {self.max_excess!r}, "
-                f"slack {self.slack!r})")
+        return verdict_line("osl", self.holds,
+                            f"{self.violations} violations in {self.n_pairs} "
+                            f"pairs (max excess {self.max_excess!r}, "
+                            f"slack {self.slack!r})")
 
 
 def one_sided_lipschitz_check(problem: LaxOleinikProblem, t: float,

@@ -18,6 +18,7 @@ from .fluxes import (_rows_at, burgers, convex_poly, eval_rows, linear_flux,
                      pl_sample, refine, roots_in_cells, scaled_burgers,
                      slope_gap, slope_pieces, tilted_burgers)
 from .pwfun import PiecewiseConstantFn, l1_distance
+from .report import verdict_line
 from .riemann import FluxDistanceReport, RiemannSampler, hat_d_estimate
 
 __all__ = [
@@ -70,9 +71,9 @@ class TmainReport:
     holds: bool
 
     def line(self) -> str:
-        verdict = "PASS" if self.holds else "FAIL"
-        return (f"[{verdict}] tmain: lhs={self.lhs!r} <= rhs={self.rhs!r} "
-                f"(hat_d={self.hat_d!r}, tv_integral={self.tv_time_integral!r})")
+        return verdict_line("tmain", self.holds, (
+            f"lhs={self.lhs!r} <= rhs={self.rhs!r} (hat_d={self.hat_d!r}, "
+            f"tv_integral={self.tv_time_integral!r})"))
 
 
 def check_tmain(flux_f, flux_g, u0: PiecewiseConstantFn, T: float,
@@ -120,10 +121,10 @@ class PgeneralReport:
     location: str
 
     def line(self) -> str:
-        verdict = "PASS" if self.holds else "FAIL"
-        return (f"[{verdict}] pgeneral: sampled hat_d={self.estimate!r} vs "
-                f"max|f'-g'|={self.deriv_sup!r} (ratio={self.ratio:.6f}, "
-                f"sup at {self.location})")
+        return verdict_line("pgeneral", self.holds,
+                            f"sampled hat_d={self.estimate!r} vs "
+                            f"max|f'-g'|={self.deriv_sup!r} "
+                            f"(ratio={self.ratio:.6f}, sup at {self.location})")
 
 
 def check_pgeneral(flux_f, flux_g, sampler: RiemannSampler | None = None,
@@ -168,8 +169,8 @@ class LerrestReport:
     holds: bool
 
     def line(self) -> str:
-        verdict = "PASS" if self.holds else "FAIL"
-        return f"[{verdict}] lerrest: lhs={self.lhs!r} <= 1.1 * {self.rhs!r}"
+        return verdict_line("lerrest", self.holds,
+                            f"lhs={self.lhs!r} <= 1.1 * {self.rhs!r}")
 
 
 def lerrest_diagnostic(flux, w: Callable[[float], PiecewiseConstantFn],

@@ -104,17 +104,6 @@ class PiecewiseConstantFn:
 
     # -- structural ops ----------------------------------------------------
 
-    def refine(self, extra: np.ndarray) -> "PiecewiseConstantFn":
-        """Insert redundant breakpoints; pointwise values are unchanged."""
-        extra = np.atleast_1d(np.asarray(extra, dtype=float))
-        bp = np.unique(np.concatenate([self.breakpoints, extra]))
-        if bp.size == 0:
-            return self
-        # value on the cell ending at bp[i], plus the right tail
-        idx = np.searchsorted(self.breakpoints, bp, side="left")
-        vals = np.vstack([self.values[idx], self.values[-1]])
-        return PiecewiseConstantFn(bp, vals)
-
     def simplified(self) -> "PiecewiseConstantFn":
         """Drop breakpoints with zero jump."""
         if self.breakpoints.size == 0:

@@ -1,8 +1,9 @@
-"""Deterministic artifacts: CSV tables and dependency-free SVG plots.
+"""Verdict lines and deterministic artifacts: CSV tables and SVG plots.
 
-Floats are written with ``repr``, which round-trips exactly, and the
-writers impose a fixed ordering everywhere, so rerunning an experiment
-with the same inputs produces byte-identical files.
+Every check states its outcome through :func:`verdict_line`.  Floats are
+written with ``repr``, which round-trips exactly, and the writers impose
+a fixed ordering everywhere, so rerunning an experiment with the same
+inputs produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,7 +11,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-__all__ = ["write_csv", "svg_line_plot"]
+__all__ = ["verdict_line", "write_csv", "svg_line_plot"]
+
+
+def verdict_line(name: str, holds: bool, detail: str) -> str:
+    """The one spelling of a check's outcome: ``[PASS] name: detail``."""
+    return f"[{'PASS' if holds else 'FAIL'}] {name}: {detail}"
 
 
 def _tool_version() -> str:

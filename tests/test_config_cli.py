@@ -1,5 +1,6 @@
 """Config grammar, artifact writers, and the command line end to end."""
 
+import ast
 import csv
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import fluxstab
+from fluxstab import cli
 from fluxstab.cli import build_parser, main
 from fluxstab.config import (ConfigError, apply_overrides, get_value,
                              parse_config_text, resolve_check, resolve_datum,
@@ -91,9 +93,7 @@ def test_resolve_check_grammar():
     pred, _ = resolve_check(">= 1")
     assert pred(1.0) and not pred(0.5)
     pred, _ = resolve_check("== 1 0.25")
-    assert pred(1.2) and not pred(1.3)
-    pred, _ = resolve_check("within 0.25 of 1")
-    assert pred(0.8) and not pred(0.5)
+    assert pred(1.2) and pred(0.8) and not pred(1.3) and not pred(0.5)
     pred, _ = resolve_check("in -1 1")
     assert pred(0.0) and not pred(1.5)
     pred, _ = resolve_check("in 1 1")
@@ -101,7 +101,8 @@ def test_resolve_check_grammar():
     # a spec that no value can pass is a typo, not a failed check
     for bad in ("~= 1", "== 1", "in 1", "within 1 from 2", "in 2 1",
                 "== 1 -1", "within -1 of 1", "<= nan", ">= nan", "== 1 nan",
-                "in nan 1"):
+                "in nan 1",
+                "within 0.25 of 1"):  # a second spelling of "== 1 0.25"
         with pytest.raises(ConfigError):
             resolve_check(bad)
 
@@ -174,7 +175,7 @@ def test_svg_is_deterministic(tmp_path):
 # -- command line ---------------------------------------------------------------------
 
 def test_cli_list(capsys):
-    assert main(["--list"]) == 0
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "built-in fluxes:" in out
     assert "datum specs:" in out
@@ -183,16 +184,16 @@ def test_cli_list(capsys):
 @pytest.mark.parametrize("argv, command, config, out, seed, overrides", [
     (["riemann", "left=1", "right=0"], "riemann", None, None, None,
      ["left=1", "right=0"]),
-    (["hatd", "flux_f=nosuch", "flux_g=burgers", "--out", "d"], "hatd", None,
-     "d", None, ["flux_f=nosuch", "flux_g=burgers"]),
-    (["rexp", "n_min=3", "--out", "d", "n_max=3"], "rexp", None, "d", None,
-     ["n_min=3", "n_max=3"]),
+    (["hatd", "flux_f=nosuch", "flux_g=burgers", "out=d"], "hatd", None,
+     "d", None, ["flux_f=nosuch", "flux_g=burgers", "out=d"]),
+    (["rexp", "n_min=3", "out=d", "n_max=3"], "rexp", None, "d", None,
+     ["n_min=3", "out=d", "n_max=3"]),
     (["classical-limit", "--config", "c.cfg", "out="], "classical-limit",
      "c.cfg", None, None, ["out="]),
     (["osl", "datum=sawtooth 1", "t=0.5", "--seed", "5"], "osl", None, None,
      5, ["datum=sawtooth 1", "t=0.5"]),
-    (["suite", "segments=32", "--out", "d", "--seed", "7"], "suite", None,
-     "d", 7, ["segments=32"]),
+    (["suite", "segments=32", "out=d", "--seed", "7"], "suite", None,
+     "d", 7, ["segments=32", "out=d"]),
     (["riemann", "--config", "r.cfg", "right=-0.5"], "riemann", "r.cfg", None,
      None, ["right=-0.5"]),
     (["jac-gap"], "jac-gap", None, None, None, []),
@@ -200,8 +201,22 @@ def test_cli_list(capsys):
 def test_cli_parses_intermixed_flags_and_overrides(argv, command, config,
                                                    out, seed, overrides):
     args = build_parser().parse_intermixed_args(argv)
-    assert (args.command, args.config, args.out, args.seed,
+    # the artifact directory is the out key; an empty value names none
+    named_out = apply_overrides({}, args.overrides).get("out") or None
+    assert (args.command, args.config, named_out, args.seed,
             args.overrides) == (command, config, out, seed, overrides)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--list"],  # the list command prints the grammars
+    ["list", "--list"],
+    ["rexp", "n_min=3", "n_max=3", "--out", "d"],  # out=d names the directory
+])
+def test_cli_deleted_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_riemann(capsys):
@@ -255,7 +270,7 @@ def test_cli_hatd_lin_missing_matrix(capsys):
 
 def test_cli_embedded_check_pass_and_fail(capsys):
     args = ["hatd-lin", "A=diag 0 1", "B=diag 0 2"]
-    assert main(args + ["check=within 1e-6 of 1.0"]) == 0
+    assert main(args + ["check=== 1.0 1e-6"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] hatd-lin value:" in out
     assert main(args + ["check=<= 0.5"]) == 1
@@ -272,17 +287,35 @@ def test_cli_evolve_embedded_check(capsys):
     assert main(args + ["check=>= 2.0"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["hatd-lin", "A=diag 0 1", "B=diag 0 2", "check=in 2 1"],
+    ["hatd-lin", "A=diag 0 1", "B=diag 0 2", "check=within 1e-6 of 1.0"],
+    ["evolve", "datum=pulse 1.0 0.0 1.0", "T=0.5", "check=== 1.0 -1"],
+    ["evolve", "datum=pulse 1.0 0.0 1.0", "T=0.5", "check=approximately 1"],
+])
+def test_cli_bad_check_spec_exits_2_before_solving(argv, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran before the check spec was read")
+
+    monkeypatch.setattr(cli, "hat_d_lin", never)
+    monkeypatch.setattr(cli, "ft_evolve", never)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and "check spec" in err
+
+
 def test_cli_unknown_flux_exits_2_without_artifacts(tmp_path, capsys):
     out = tmp_path / "artifacts"
     code = main(["hatd", "flux_f=nosuch", "flux_g=burgers",
-                 "--out", str(out)])
+                 "out=" + str(out)])
     assert code == 2
     assert not out.exists() or not list(out.iterdir())
 
 
 def test_cli_rexp_single_n(tmp_path, capsys):
     out = tmp_path / "rexp_out"
-    code = main(["rexp", "n_min=3", "n_max=3", "--out", str(out)])
+    code = main(["rexp", "n_min=3", "n_max=3", "out=" + str(out)])
     assert code == 0
     assert "[PASS] rexp n=3" in capsys.readouterr().out
     lines = (out / "rexp.csv").read_text().splitlines()
@@ -311,7 +344,7 @@ def test_cli_rexp_deterministic_reruns(tmp_path):
 
 def test_cli_evolve_writes_profile(tmp_path, capsys):
     out = tmp_path / "evo"
-    code = main(["evolve", "datum=riemann 1 0", "T=0.5", "--out", str(out)])
+    code = main(["evolve", "datum=riemann 1 0", "T=0.5", "out=" + str(out)])
     assert code == 0
     lines = (out / "profile.csv").read_text().splitlines()
     rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
@@ -391,6 +424,10 @@ def test_cli_bad_solver_parameters_exit_2(argv, capsys):
     ["osl", "flux=burgers", "datum=pulse 1 0 1", "t=0.5", "a=0", "b=1",
      "n_pairs=0"],
     ["osl", "flux=burgers", "datum=pulse 1 0 1", "t=0.5", "a=1", "b=1"],
+    # an empty or reversed window has no L1 gap and no variation to bound
+    ["linfty", "flux_f=burgers", "flux_g=tilted_burgers 0.1",
+     "datum=pulse 1 0 1", "t=0.5", "a=1", "b=0"],
+    ["oleinik-tv", "datum=pulse 1 0 1", "t=0.5", "a=1", "b=0"],
 ])
 def test_cli_sweep_with_nothing_to_check_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -402,7 +439,7 @@ def test_cli_sweep_with_nothing_to_check_exits_2(argv, capsys):
 def test_cli_suite(tmp_path, capsys):
     out = tmp_path / "suite_out"
     code = main(["suite", "segments=32", "T=0.5", "n_grid=8", "n_near=8",
-                 "--out", str(out), "--seed", "7"])
+                 "out=" + str(out), "--seed", "7"])
     assert code == 0
     text = capsys.readouterr().out
     assert "[PASS] suite: 6 pairs" in text
@@ -419,3 +456,30 @@ def test_cli_config_file_and_override(tmp_path, capsys):
     cfg.write_text("left = 1\nright = 0\nflux = burgers\n")
     assert main(["riemann", "--config", str(cfg), "right=-0.5"]) == 0
     assert "uR=-0.5" in capsys.readouterr().out
+
+
+# -- verdict lines ----------------------------------------------------------------
+
+def test_pass_and_fail_are_spelled_in_one_function():
+    # every check states its outcome through report.verdict_line, so no
+    # other code of the package spells the two words; docstrings may
+    found = set()
+    for path in sorted(Path(fluxstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef,
+                                           ast.FunctionDef))
+                      and ast.get_docstring(node) is not None}
+
+        def visit(node, where):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                where = f"{where}.{node.name}"
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and ("PASS" in node.value or "FAIL" in node.value)):
+                found.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, path.stem)
+    assert found == {"report.verdict_line"}

@@ -157,8 +157,10 @@ def test_l1_metric_axioms():
         assert dfg <= l1_distance(f, h, w) + l1_distance(h, g, w) + 1e-12
     f = random_fn(rng)
     assert l1_distance(f, f, w) == 0.0
-    # zero distance forces a.e. equality on the window
-    g = f.refine([0.123])
+    # zero distance forces a.e. equality on the window; g is f with a
+    # redundant breakpoint at 0.123
+    bp = np.union1d(f.breakpoints, [0.123])
+    g = PiecewiseConstantFn(bp, np.concatenate([f.values[:1, 0], f(bp)]))
     assert l1_distance(f, g, w) == 0.0
     xs = rng.uniform(*w, 64)
     np.testing.assert_array_equal(f(xs), g(xs))
@@ -172,15 +174,6 @@ def test_l1_dimension_mismatch():
 
 
 # -- structural operations -------------------------------------------------------
-
-def test_refine_preserves_pointwise_values():
-    rng = np.random.default_rng(17)
-    f = random_fn(rng, dim=2)
-    g = f.refine(rng.uniform(-2.5, 2.5, 8))
-    xs = rng.uniform(-3.0, 3.0, 1000)
-    np.testing.assert_array_equal(f(xs), g(xs))
-    assert g.simplified().breakpoints.size <= f.breakpoints.size
-
 
 def test_simplified_drops_null_jumps():
     f = PiecewiseConstantFn([0.0, 1.0], [[2.0], [2.0], [3.0]])
