@@ -171,7 +171,7 @@ def cmd_evolve(args) -> int:
 def cmd_hatd(args) -> int:
     cfg = _cfg_from(args)
     return _finish(check_pgeneral(
-        *_flux_pair(cfg), _sampler(cfg, 64),
+        *_flux_pair(cfg, segments=0), _sampler(cfg, 64),
         threshold=get_value(cfg, "threshold", float, 0.95)))
 
 
@@ -223,12 +223,10 @@ def cmd_rexp(args) -> int:
     n_max = get_value(cfg, "n_max", int, 6)
     tilt = get_value(cfg, "tilt", float, -1.0)
     tol = get_value(cfg, "tol", float, 1e-3)
-    n_panels = get_value(cfg, "panels", int, 2 ** 14)
     ns = list(range(n_min, n_max + 1))
     if not ns:
         raise ConfigError(f"empty sweep: n_min={n_min} > n_max={n_max}")
-    results = [rexp_counterexample(n, tilt=tilt, n_panels=n_panels)
-               for n in ns]
+    results = [rexp_counterexample(n, tilt=tilt) for n in ns]
     rows = []
     ok = True
     for n, res in zip(ns, results):

@@ -20,11 +20,14 @@ limits.
 This evaluator is pointwise and mesh-free, which makes it the reference
 oracle for the front-tracking engine and the workhorse behind the bound
 checks on L-infinity data, where the state has unbounded variation and
-front tracking does not apply.
+front tracking does not apply.  For quadratic fluxes the solution is
+piecewise linear in ``x``; ``_quadratic_profile`` lists its pieces
+exactly, and the oscillating-data gap is integrated from them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,6 +199,16 @@ class LaxOleinikProblem:
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
+def _ranges(first, count):
+    """Flatten the index ranges ``first[k] + (0 .. count[k] - 1)``: the
+    owner ``k`` and the index of every entry, and where each range starts
+    in the flat order."""
+    starts = np.cumsum(count) - count
+    owner = np.repeat(np.arange(first.size), count)
+    return owner, np.repeat(first - starts, count) + np.arange(owner.size), \
+        starts
+
+
 def lax_oleinik_eval_many(problem: LaxOleinikProblem, t: float,
                           xs) -> np.ndarray:
     """Vectorized evaluation at many points for one time ``t > 0``."""
@@ -215,9 +228,7 @@ def lax_oleinik_eval_many(problem: LaxOleinikProblem, t: float,
     # the cells meeting [x - reach, x + reach], flattened over all x
     first = np.searchsorted(z, xs - reach, side="left")
     count = np.searchsorted(z, xs + reach, side="right") - first + 1
-    starts = np.concatenate([[0], np.cumsum(count[:-1])])
-    owner = np.repeat(np.arange(xs.size), count)
-    cell = np.repeat(first - starts, count) + np.arange(owner.size)
+    owner, cell, starts = _ranges(first, count)
     x = xs[owner]
     # G is convex on each cell with stationary point x - t f'(v); a foot
     # inside its cell keeps the slope f'(v) exactly
@@ -239,6 +250,97 @@ def lax_oleinik_eval(problem: LaxOleinikProblem, t: float, x: float) -> float:
     return float(lax_oleinik_eval_many(problem, t, np.asarray([x]))[0])
 
 
+def _quadratic_profile(problem: LaxOleinikProblem, t: float, lo: float,
+                       hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact solution on ``[lo, hi]`` for ``f = alpha u^2/2 + eps u + c``.
+
+    Returns cuts ``lo = x_0 < ... < x_m = hi`` and coefficients with
+    ``u = c0[k] + c1[k] x`` on ``(x_k, x_{k+1}]``, so the piece left of a
+    cut gives the left limit there.  The candidates for ``min G``:
+
+    * each cell of value ``v`` through a point ``r``: its interior foot,
+      ``G = P(r) - v r + v x - t (f(v) - c)`` and ``u = v``, valid on
+      ``[z_l + t f'(v), z_r + t f'(v)]``;
+    * each kink ``z`` rising from ``v_l`` to ``v_r``: its clipped foot,
+      ``G = P(z) + (x - z - eps t)^2 / (2 alpha t)`` and the fan ``u = (x - z
+      - eps t) / (alpha t)``, valid on ``[z + t f'(v_l), z + t f'(v_r)]``.
+
+    The minimising foot is always a candidate valid at ``x``, and every
+    candidate is ``G`` at some foot, so the least valid candidate wins.
+    Cutting at every validity end and at every tie of two overlapping
+    candidates leaves pieces with one winner each, the least ``G`` at the
+    piece's midpoint.
+    """
+    flux, data = problem.flux, problem.data
+    if flux.degree != 2:
+        raise ValueError("the exact profile needs a quadratic flux")
+    eps, alpha = flux.coeffs[1], 2.0 * flux.coeffs[2]
+    reach = flux.lambda_hat * t
+    z = data.kinks(lo - reach, hi + reach)
+    edges = np.concatenate([[lo - reach], z, [hi + reach]])
+    ref = 0.5 * (edges[:-1] + edges[1:])
+    v = data.value(ref)
+    # a fan's validity ends are, bit for bit, its neighbour cells' ends
+    drift = t * flux.df(v)
+    cell_lo = np.concatenate([[-np.inf], z]) + drift
+    cell_hi = np.concatenate([z, [np.inf]]) + drift
+    rise = np.flatnonzero(v[:-1] < v[1:])
+    # every candidate as G = base + slope x + c1 (x - w)^2 / 2
+    start = np.clip(np.concatenate([cell_lo, cell_hi[rise]]), lo, hi)
+    end = np.clip(np.concatenate([cell_hi, cell_lo[rise + 1]]), lo, hi)
+    prim, v_ref = data.primitive(ref), v * ref
+    lift = t * (eps + 0.5 * alpha * v) * v
+    base = np.concatenate([prim - v_ref - lift, data.primitive(z[rise])])
+    # the size of G's terms on the window, which sets what a tie is
+    g_size = max(np.max(np.abs(np.concatenate([prim, v_ref, lift]))),
+                 np.max(np.abs(v)) * max(abs(lo), abs(hi)))
+    slope = np.concatenate([v, np.zeros(rise.size)])
+    c1 = np.concatenate([np.zeros(v.size),
+                         np.full(rise.size, 1.0 / (alpha * t))])
+    w = np.concatenate([np.zeros(v.size), z[rise] + eps * t])
+    foot = np.concatenate([2 * np.arange(v.size), 2 * rise + 1])  # feet order
+    order = np.flatnonzero(start < end)
+    order = order[np.argsort(start[order], kind="stable")]
+    start, end, base, slope, c1, w, foot = (
+        a[order] for a in (start, end, base, slope, c1, w, foot))
+
+    def g_at(k, x):
+        return base[k] + slope[k] * x + 0.5 * c1[k] * (x - w[k]) ** 2
+
+    def u_at(k, x):
+        return slope[k] + c1[k] * (x - w[k])
+
+    # tie roots of each overlapping pair in d = x - m, m the overlap's start
+    later = np.arange(1, start.size + 1)
+    i, j, _ = _ranges(later, np.searchsorted(start, end, side="left") - later)
+    m, e = start[j], np.minimum(end[i], end[j])
+    qa = 0.5 * (c1[i] - c1[j])
+    qb = u_at(i, m) - u_at(j, m)
+    qc = g_at(i, m) - g_at(j, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        roots = m + np.stack([np.where(qa == 0.0, -qc / qb, q / qa), qc / q])
+    roots = roots[(roots > m) & (roots < e)]
+    cuts = np.unique(np.concatenate([[lo, hi], start, end, roots]))
+    # each piece's winner: the least G among candidates valid at its
+    # midpoint, the leftmost foot on a tie within rounding of G as in the
+    # evaluator, so a piece that rounding leaves beside a shock reads the
+    # shock's left state
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    first = np.searchsorted(mid, start, side="left")
+    cand, piece, _ = _ranges(first,
+                             np.searchsorted(mid, end, side="right") - first)
+    rank = np.lexsort((foot[cand], piece))
+    cand, piece = cand[rank], piece[rank]
+    g = g_at(cand, mid[piece])
+    heads = np.searchsorted(piece, np.arange(mid.size))
+    g_min = np.minimum.reduceat(g, heads)[piece]
+    tie = g <= g_min + 1e-12 * g_size
+    win = cand[np.minimum.reduceat(np.where(tie, np.arange(g.size), g.size),
+                                   heads)]
+    return cuts, slope[win] - c1[win] * w[win], c1[win]
+
+
 # -- the oscillating-data gap --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -246,39 +348,49 @@ class RexpResult:
     n: int
     t: float
     l1_distance: float
-    n_panels: int
-    n_unique_evals: int
 
 
-def rexp_counterexample(n: int, tilt: float = -1.0,
-                        n_panels: int = 2 ** 14) -> RexpResult:
+def rexp_counterexample(n: int, tilt: float = -1.0) -> RexpResult:
     """L1 gap on [0, 1] between the quadratic flux and its tilt at t = 2^-n.
 
     Both equations start from :func:`sawtooth_datum`.  The tilted flux
     ``f(u) + tilt*u`` generates the sheared solution ``v(t, x) =
-    u(t, x - tilt*t)``, so a single variational solve serves both, and the
-    gap is integrated by composite midpoint quadrature with ``n_panels``
-    panels.  With the default ``tilt=-1`` the gap stays at 1 for every
-    ``n`` even though the derivative gap between the fluxes is only 1 and
-    the datum oscillates faster and faster: L1 flux stability cannot be
-    uniform over unbounded-variation data.
-
-    Setting ``tilt=0`` compares the flux with itself and returns 0.
+    u(t, x - tilt*t)``, and both are periodic with the datum's period
+    ``p``, so the gap is ``1/p`` times the integral of ``|u(x) - u(x -
+    shift)|`` over one period, with ``shift = tilt*t mod p``.  The
+    integral is exact: the solution is piecewise linear in ``x``
+    (:func:`_quadratic_profile`), so the difference is linear between the
+    merged cuts and its modulus integrates by trapezoids, a piece that
+    changes sign cut at its crossing.  With the default ``tilt=-1`` the
+    gap is 1 for every ``n`` even though the derivative gap between the
+    fluxes is only 1 and the datum oscillates faster and faster: L1 flux
+    stability cannot be uniform over unbounded-variation data.  For
+    ``|tilt| <= 2`` the gap is ``|tilt| (2 - |tilt|)``; ``tilt=0`` compares
+    the flux with itself and returns 0.
     """
+    if not math.isfinite(tilt):
+        raise ValueError(f"tilt must be finite, got {tilt!r}")
+    if n > 1022:  # the fans' slope 2^n must stay a finite float
+        raise ValueError(f"n must be at most 1022, got {n}")
     t = 2.0 ** (-n)
     p = 2.0 ** (1 - n)
+    shift = (tilt * t) % p
     problem = LaxOleinikProblem(burgers((-1.0, 1.0)), sawtooth_datum(n))
-    xs = (np.arange(n_panels) + 0.5) / n_panels
-    # the datum and hence the solution are p-periodic: fold, dedupe, tile
-    ru = np.mod(xs, p)
-    rv = np.mod(xs - tilt * t, p)
-    uniq, inverse = np.unique(np.concatenate([ru, rv]), return_inverse=True)
-    vals = lax_oleinik_eval_many(problem, t, uniq)
-    u_vals = vals[inverse[:n_panels]]
-    v_vals = vals[inverse[n_panels:]]
-    l1 = float(np.mean(np.abs(v_vals - u_vals)))  # interval length is 1
-    return RexpResult(n=n, t=t, l1_distance=l1,
-                      n_panels=n_panels, n_unique_evals=uniq.size)
+    cuts, c0, c1 = _quadratic_profile(problem, t, -p, p)
+    # d = u(x) - u(x - shift) is linear between the merged cuts in [0, p]
+    xs = np.unique(np.concatenate([cuts, cuts + shift]).clip(0.0, p))
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    k = np.searchsorted(cuts, mid) - 1
+    j = np.searchsorted(cuts + shift, mid) - 1
+    a = c0[k] - c0[j] + c1[j] * shift
+    b = c1[k] - c1[j]
+    d0, d1 = a + b * xs[:-1], a + b * xs[1:]
+    width = np.diff(xs)
+    area = 0.5 * width * (np.abs(d0) + np.abs(d1))
+    cross = d0 * d1 < 0.0  # cut at the root: two triangles
+    area[cross] = 0.5 * width[cross] * (d0[cross] ** 2 + d1[cross] ** 2) \
+        / (np.abs(d0[cross]) + np.abs(d1[cross]))
+    return RexpResult(n=n, t=t, l1_distance=math.fsum(area) / p)
 
 
 # -- datum modification across shocks -----------------------------------------

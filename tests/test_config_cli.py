@@ -333,8 +333,7 @@ def test_cli_rexp_deterministic_reruns(tmp_path):
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        assert main(["rexp", "n_min=2", "n_max=2", "panels=4096",
-                     "out=" + str(out)]) == 0
+        assert main(["rexp", "n_min=2", "n_max=2", "out=" + str(out)]) == 0
         outs.append(out)
     a_csv = (outs[0] / "rexp.csv").read_text()
     b_csv = (outs[1] / "rexp.csv").read_text()
@@ -379,6 +378,28 @@ def test_cli_evolve_samples_nonconvex_polynomial(capsys):
                  "datum=riemann 0.5 -0.5", "T=0.5", "segments=64"])
     assert code == 0
     assert "evolved pl[" in capsys.readouterr().out
+
+
+def test_cli_hatd_samples_nonconvex_polynomial_when_segments_set(capsys):
+    argv = ["hatd", "flux_f=burgers", "flux_g=convex_poly 0.5 0.1 0",
+            "k_lo=-2"]
+    assert main(argv) == 3
+    assert "neither affine nor uniformly convex" in capsys.readouterr().err
+    assert main(argv + ["segments=128"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] pgeneral: sampled hat_d=")
+
+
+def test_cli_hatd_output_unchanged_without_segments(capsys):
+    # a convex pair: the fluxes stay smooth unless segments is set
+    argv = ["hatd", "flux_f=burgers", "flux_g=tilted_burgers 0.25",
+            "n_grid=16", "n_near=16"]
+    assert main(argv) == 0
+    smooth = capsys.readouterr().out
+    assert smooth == ("[PASS] pgeneral: sampled hat_d=0.25000000000000044 "
+                      "vs max|f'-g'|=0.25 (ratio=1.000000, sup at "
+                      "large-jump)\n")
+    assert main(argv + ["segments=0"]) == 0
+    assert capsys.readouterr().out == smooth
 
 
 def test_cli_runtime_error_exits_3(capsys):
@@ -434,6 +455,15 @@ def test_cli_sweep_with_nothing_to_check_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tilt", ["nan", "inf", "-inf"])
+@pytest.mark.filterwarnings("error")
+def test_cli_rexp_rejects_non_finite_tilt(tilt, capsys):
+    assert main(["rexp", f"tilt={tilt}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: tilt must be finite, got {float(tilt)!r}\n"
 
 
 def test_cli_suite(tmp_path, capsys):

@@ -10,7 +10,7 @@ from fluxstab import (LaxOleinikProblem, PeriodicSquareWave,
                       oleinik_tv_bound_check, one_sided_lipschitz_check,
                       pl_sample, rexp_counterexample, sawtooth_datum,
                       scaled_burgers, tilted_burgers)
-from fluxstab.lax_oleinik import StepData, as_initial_data
+from fluxstab.lax_oleinik import StepData, _quadratic_profile, as_initial_data
 
 
 def square_pulse(height=1.0, width=1.0):
@@ -198,12 +198,94 @@ def test_rexp_gap_is_order_one():
     res = rexp_counterexample(1)
     assert res.l1_distance == pytest.approx(1.0, abs=1e-3)
     assert res.t == 0.5
-    assert res.n_unique_evals <= 2 * res.n_panels
 
 
 def test_rexp_zero_tilt_vanishes():
-    res = rexp_counterexample(2, tilt=0.0, n_panels=2 ** 10)
+    res = rexp_counterexample(2, tilt=0.0)
     assert res.l1_distance == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, -0.3, 1.0, -1.0, 1.5, 2.0])
+def test_rexp_gap_closed_form(tau):
+    # the sawtooth of slope 1/t and its shift by tau t differ by tau on a
+    # share 1 - |tau|/2 of each period and by |tau| - 2 on the rest
+    for n in range(1, 7):
+        gap = rexp_counterexample(n, tilt=tau).l1_distance
+        assert abs(gap - abs(tau) * (2.0 - abs(tau))) <= 1e-13
+
+
+def test_rexp_gap_is_exact_at_every_scale():
+    # from n = 40 on the whole range of G is below 1e-12, the absolute
+    # tie floor of lax_oleinik_eval_many, so no fixed tolerance may enter
+    for n in (14, 40, 200, 1022):
+        assert rexp_counterexample(n).l1_distance == 1.0
+
+
+def test_rexp_rejects_bad_input():
+    for tau in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tilt"):
+            rexp_counterexample(3, tilt=tau)
+    for n in (0, 1023):
+        with pytest.raises(ValueError, match="n must"):
+            rexp_counterexample(n)
+
+
+# -- exact profile for quadratic fluxes -----------------------------------------
+
+def _profile_at(profile, xs):
+    """The profile at ``xs`` in ``(lo, hi]``, left limits on the cuts."""
+    cuts, c0, c1 = profile
+    k = np.searchsorted(cuts, xs, side="left") - 1
+    return c0[k] + c1[k] * xs
+
+
+def _seeded_steps(rng, jumps: int) -> PiecewiseConstantFn:
+    return PiecewiseConstantFn(np.sort(rng.uniform(-1.0, 1.0, jumps)),
+                               rng.uniform(-1.0, 1.0, jumps + 1))
+
+
+@pytest.mark.parametrize("flux", [burgers(), scaled_burgers(0.75),
+                                  tilted_burgers(0.1)],
+                         ids=lambda f: f.name)
+def test_quadratic_profile_matches_evaluator(flux):
+    rng = np.random.default_rng(11)
+    runs = [(sawtooth_datum(n), t) for n in range(1, 8)
+            for t in (2.0 ** -n, 0.3)]
+    runs += [(_seeded_steps(rng, jumps), t) for jumps in (1, 4, 9)
+             for t in (0.05, 0.3, 1.0)]
+    lo, hi = -1.3, 1.9
+    for datum, t in runs:
+        problem = LaxOleinikProblem(flux, datum)
+        profile = _quadratic_profile(problem, t, lo, hi)
+        cuts = profile[0]
+        assert cuts[0] == lo and cuts[-1] == hi and np.all(np.diff(cuts) > 0)
+        # sampled points, piece midpoints, and every cut right of lo: the
+        # fan edges and the shocks, read as left limits
+        xs = np.concatenate([rng.uniform(lo, hi, 400),
+                             0.5 * (cuts[:-1] + cuts[1:]), cuts[1:]])
+        np.testing.assert_allclose(_profile_at(profile, xs),
+                                   lax_oleinik_eval_many(problem, t, xs),
+                                   atol=1e-12, rtol=0.0)
+
+
+def test_quadratic_profile_shocks_read_left_limits():
+    # the tilted sawtooth of test_left_limits_on_tilted_sawtooth_shocks:
+    # shocks at 0.28 + 0.5 k, with left state 5/6 and right state -5/6
+    problem = LaxOleinikProblem(tilted_burgers(0.1), sawtooth_datum(2))
+    profile = _quadratic_profile(problem, 0.3, -1.0, 1.5)
+    shocks = np.array([-0.22, 0.28, 0.78, 1.28])
+    assert np.all(np.min(np.abs(profile[0][:, None] - shocks), axis=0) < 1e-15)
+    np.testing.assert_allclose(_profile_at(profile, shocks), 5.0 / 6.0,
+                               atol=1e-12, rtol=0.0)
+    np.testing.assert_allclose(_profile_at(profile, shocks + 1e-9),
+                               -5.0 / 6.0, atol=1e-8, rtol=0.0)
+
+
+def test_quadratic_profile_needs_quadratic_flux():
+    for flux in (convex_poly(0.5, 0.0, 0.25), convex_poly(0.5, 0.1, 0.0)):
+        problem = LaxOleinikProblem(flux, sawtooth_datum(1))
+        with pytest.raises(ValueError, match="quadratic"):
+            _quadratic_profile(problem, 0.5, 0.0, 1.0)
 
 
 # -- datum modification ---------------------------------------------------------
