@@ -170,8 +170,12 @@ def cmd_evolve(args) -> int:
 
 def cmd_hatd(args) -> int:
     cfg = _cfg_from(args)
+    # the Riemann solver takes a smooth flux only if it is uniformly convex
+    # on K; any other is sampled, as tmain and lerrest sample theirs
+    fluxes = [_maybe_pl(flux, 512) if flux.kappa <= 0.0 else flux
+              for flux in _flux_pair(cfg)]
     return _finish(check_pgeneral(
-        *_flux_pair(cfg, segments=0), _sampler(cfg, 64),
+        *fluxes, _sampler(cfg, 64),
         threshold=get_value(cfg, "threshold", float, 0.95)))
 
 

@@ -13,9 +13,10 @@ constant, so ``U0`` is linear and ``G`` convex on each cell between
 kinks, with its minimum on a cell of value ``v`` at the clip of
 ``x - t f'(v)`` into the cell.  The minimization is therefore exact: one
 candidate per cell in the window, the least ``G`` wins, and ``u = (f')^-1
-((x - y*) / t)``.  At a shock two feet tie; the leftmost candidate within
-a relative ``1e-12`` of the minimum wins, so evaluation returns left
-limits.
+((x - y*) / t)``.  At a shock two feet tie, so the winner is the leftmost
+candidate whose ``G`` exceeds the minimum by at most ``1e-12`` times the
+size of ``G``'s terms (:func:`_leftmost_least`): evaluation returns left
+limits at every scale.
 
 This evaluator is pointwise and mesh-free, which makes it the reference
 oracle for the front-tracking engine and the workhorse behind the bound
@@ -209,6 +210,23 @@ def _ranges(first, count):
         starts
 
 
+def _leftmost_least(g, size, heads, group):
+    """The winner of each group of candidates for ``min G``.
+
+    The candidates of a group are contiguous, in feet order, from
+    ``heads[k]``; ``group`` names each one's group and ``size`` bounds
+    the terms its ``G`` was summed from.  The winner is the leftmost
+    candidate whose ``G`` exceeds the group's least by at most ``1e-12``
+    times the group's largest ``size``: on a tie the left foot wins, so
+    shocks read their left limits, and the tolerance follows rounding at
+    any scale.
+    """
+    g_min = np.minimum.reduceat(g, heads)[group]
+    tol = 1e-12 * np.maximum.reduceat(size, heads)[group]
+    tie = g <= g_min + tol
+    return np.minimum.reduceat(np.where(tie, np.arange(g.size), g.size), heads)
+
+
 def lax_oleinik_eval_many(problem: LaxOleinikProblem, t: float,
                           xs) -> np.ndarray:
     """Vectorized evaluation at many points for one time ``t > 0``."""
@@ -237,12 +255,9 @@ def lax_oleinik_eval_many(problem: LaxOleinikProblem, t: float,
     y = np.clip(y_free, edges[cell], edges[cell + 1])
     s = np.where(y == y_free, slope, (x - y) / t)
     u = flux.inverse_deriv(s)
-    g = data.primitive(y) + t * (s * u - flux.f(u))
-    # the leftmost foot within the tie tolerance gives left limits at shocks
-    g_min = np.minimum.reduceat(g, starts)[owner]
-    tie = g <= g_min + 1e-12 * (1.0 + np.abs(g_min))
-    pick = np.minimum.reduceat(np.where(tie, np.arange(g.size), g.size), starts)
-    return u[pick]
+    prim, lift = data.primitive(y), t * (s * u - flux.f(u))
+    return u[_leftmost_least(prim + lift, np.abs(prim) + np.abs(lift),
+                             starts, owner)]
 
 
 def lax_oleinik_eval(problem: LaxOleinikProblem, t: float, x: float) -> float:
@@ -290,10 +305,11 @@ def _quadratic_profile(problem: LaxOleinikProblem, t: float, lo: float,
     end = np.clip(np.concatenate([cell_hi, cell_lo[rise + 1]]), lo, hi)
     prim, v_ref = data.primitive(ref), v * ref
     lift = t * (eps + 0.5 * alpha * v) * v
-    base = np.concatenate([prim - v_ref - lift, data.primitive(z[rise])])
-    # the size of G's terms on the window, which sets what a tie is
-    g_size = max(np.max(np.abs(np.concatenate([prim, v_ref, lift]))),
-                 np.max(np.abs(v)) * max(abs(lo), abs(hi)))
+    fan_base = data.primitive(z[rise])
+    base = np.concatenate([prim - v_ref - lift, fan_base])
+    # the size of the terms base was summed from, for the tie rule
+    mag = np.concatenate([np.abs(prim) + np.abs(v_ref) + np.abs(lift),
+                          np.abs(fan_base)])
     slope = np.concatenate([v, np.zeros(rise.size)])
     c1 = np.concatenate([np.zeros(v.size),
                          np.full(rise.size, 1.0 / (alpha * t))])
@@ -301,8 +317,8 @@ def _quadratic_profile(problem: LaxOleinikProblem, t: float, lo: float,
     foot = np.concatenate([2 * np.arange(v.size), 2 * rise + 1])  # feet order
     order = np.flatnonzero(start < end)
     order = order[np.argsort(start[order], kind="stable")]
-    start, end, base, slope, c1, w, foot = (
-        a[order] for a in (start, end, base, slope, c1, w, foot))
+    start, end, base, mag, slope, c1, w, foot = (
+        a[order] for a in (start, end, base, mag, slope, c1, w, foot))
 
     def g_at(k, x):
         return base[k] + slope[k] * x + 0.5 * c1[k] * (x - w[k]) ** 2
@@ -323,21 +339,21 @@ def _quadratic_profile(problem: LaxOleinikProblem, t: float, lo: float,
     roots = roots[(roots > m) & (roots < e)]
     cuts = np.unique(np.concatenate([[lo, hi], start, end, roots]))
     # each piece's winner: the least G among candidates valid at its
-    # midpoint, the leftmost foot on a tie within rounding of G as in the
-    # evaluator, so a piece that rounding leaves beside a shock reads the
-    # shock's left state
+    # midpoint, by the evaluator's tie rule, so a piece that rounding
+    # leaves beside a shock reads the shock's left state
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     first = np.searchsorted(mid, start, side="left")
     cand, piece, _ = _ranges(first,
                              np.searchsorted(mid, end, side="right") - first)
     rank = np.lexsort((foot[cand], piece))
     cand, piece = cand[rank], piece[rank]
-    g = g_at(cand, mid[piece])
+    x = mid[piece]
+    # G's terms at x: base's, u x (a line's slope term, and what rounding
+    # x - w costs a fan's parabola) and the parabola
+    size = mag[cand] + np.abs(u_at(cand, x) * x) \
+        + 0.5 * c1[cand] * (x - w[cand]) ** 2
     heads = np.searchsorted(piece, np.arange(mid.size))
-    g_min = np.minimum.reduceat(g, heads)[piece]
-    tie = g <= g_min + 1e-12 * g_size
-    win = cand[np.minimum.reduceat(np.where(tie, np.arange(g.size), g.size),
-                                   heads)]
+    win = cand[_leftmost_least(g_at(cand, x), size, heads, piece)]
     return cuts, slope[win] - c1[win] * w[win], c1[win]
 
 

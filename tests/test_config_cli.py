@@ -380,26 +380,22 @@ def test_cli_evolve_samples_nonconvex_polynomial(capsys):
     assert "evolved pl[" in capsys.readouterr().out
 
 
-def test_cli_hatd_samples_nonconvex_polynomial_when_segments_set(capsys):
-    argv = ["hatd", "flux_f=burgers", "flux_g=convex_poly 0.5 0.1 0",
-            "k_lo=-2"]
-    assert main(argv) == 3
-    assert "neither affine nor uniformly convex" in capsys.readouterr().err
-    assert main(argv + ["segments=128"]) == 0
+def test_cli_hatd_samples_nonconvex_polynomial(capsys):
+    # f'' = 1 + 0.6 u dips below zero on [-2, 1], so the Riemann solver
+    # cannot take the smooth flux; hatd samples it
+    assert main(["hatd", "flux_f=burgers", "flux_g=convex_poly 0.5 0.1 0",
+                 "k_lo=-2"]) == 0
     assert capsys.readouterr().out.startswith("[PASS] pgeneral: sampled hat_d=")
 
 
-def test_cli_hatd_output_unchanged_without_segments(capsys):
-    # a convex pair: the fluxes stay smooth unless segments is set
+def test_cli_hatd_keeps_convex_fluxes_smooth(capsys):
+    # a convex pair is solved as given, with its exact derivative gap
     argv = ["hatd", "flux_f=burgers", "flux_g=tilted_burgers 0.25",
             "n_grid=16", "n_near=16"]
     assert main(argv) == 0
-    smooth = capsys.readouterr().out
-    assert smooth == ("[PASS] pgeneral: sampled hat_d=0.25000000000000044 "
-                      "vs max|f'-g'|=0.25 (ratio=1.000000, sup at "
-                      "large-jump)\n")
-    assert main(argv + ["segments=0"]) == 0
-    assert capsys.readouterr().out == smooth
+    assert capsys.readouterr().out == (
+        "[PASS] pgeneral: sampled hat_d=0.25000000000000044 vs "
+        "max|f'-g'|=0.25 (ratio=1.000000, sup at large-jump)\n")
 
 
 def test_cli_runtime_error_exits_3(capsys):

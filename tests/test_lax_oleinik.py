@@ -85,13 +85,15 @@ def test_problem_validation():
 def test_fused_sawtooth_profile():
     # square wave of period p, half high: at t = p/2 the fans have exactly
     # filled the gaps, leaving the sawtooth u = (x - kp) / t with shocks at
-    # the half-period points
-    for n in (1, 2, 3):
+    # the half-period points, read as left limits; from n = 41 on the
+    # whole range of G is below 1e-12, so the tie rule may take no fixed
+    # tolerance
+    for n in (1, 2, 3, 20, 41, 200, 1000):
         p = 2.0 ** (1 - n)
         t = 2.0 ** (-n)
         problem = LaxOleinikProblem(burgers(), sawtooth_datum(n))
         ks = np.array([-1.0, 0.0, 1.0, 2.0])
-        for frac in (-0.49, -0.2, 0.01, 0.37, 0.49):
+        for frac in (-0.49, -0.2, 0.0, 0.01, 0.37, 0.49, 0.5):
             xs = ks * p + frac * p
             want = (frac * p) / t
             got = lax_oleinik_eval_many(problem, t, xs)
@@ -249,12 +251,14 @@ def _seeded_steps(rng, jumps: int) -> PiecewiseConstantFn:
                          ids=lambda f: f.name)
 def test_quadratic_profile_matches_evaluator(flux):
     rng = np.random.default_rng(11)
-    runs = [(sawtooth_datum(n), t) for n in range(1, 8)
+    runs = [(sawtooth_datum(n), t, -1.3, 1.9) for n in range(1, 8)
             for t in (2.0 ** -n, 0.3)]
-    runs += [(_seeded_steps(rng, jumps), t) for jumps in (1, 4, 9)
+    runs += [(_seeded_steps(rng, jumps), t, -1.3, 1.9) for jumps in (1, 4, 9)
              for t in (0.05, 0.3, 1.0)]
-    lo, hi = -1.3, 1.9
-    for datum, t in runs:
+    # small scales: a few periods p, shocks on and off validity ends
+    runs += [(sawtooth_datum(n), k * p, -p, 2.0 * p) for n in (20, 41, 200)
+             for p in [2.0 ** (1 - n)] for k in (0.5, 0.3, 1.7)]
+    for datum, t, lo, hi in runs:
         problem = LaxOleinikProblem(flux, datum)
         profile = _quadratic_profile(problem, t, lo, hi)
         cuts = profile[0]
